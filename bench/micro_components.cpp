@@ -9,6 +9,7 @@
 #include "common/event_queue.h"
 #include "dram/dram_system.h"
 #include "mapping/layer_mapper.h"
+#include "obs/attribution.h"
 #include "runtime/cache_allocation.h"
 #include "sim/sweep.h"
 
@@ -35,6 +36,39 @@ static void bm_dram_access(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(bm_dram_access);
+
+// NEC-path DRAM bursts shaped like DMA chunks: 128-line access_burst
+// calls round-robin over 8 interleaved sequential streams (one per task),
+// so the closed-form kernel sees the row hits, bank conflicts and bus
+// waits of a multi-tenant fill stream. Arg 0 times the plain kernel, arg 1
+// the attributed one.
+static void bm_dram_burst_chunk(benchmark::State& state) {
+    constexpr int streams = 8;
+    constexpr std::uint64_t chunk_lines = 128;
+    dram::dram_system d{dram::dram_config{}};
+    obs::latency_attributor attr;
+    if (state.range(0) != 0) {
+        for (task_id t = 0; t < streams; ++t) {
+            attr.on_dispatch(t, "s" + std::to_string(t));
+            attr.on_inference_start(t, 0, 0);
+        }
+        d.set_attribution(&attr);
+    }
+    addr_t cursor[streams];
+    for (int s = 0; s < streams; ++s)
+        cursor[s] = static_cast<addr_t>(s) * mib(64) + kib(2) * 7 * s;
+    cycle_t now = 0;
+    int s = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            d.access_burst(cursor[s], chunk_lines, false, now, s));
+        cursor[s] += chunk_lines * line_bytes;
+        now += 48;
+        s = (s + 1) % streams;
+    }
+    state.SetItemsProcessed(state.iterations() * chunk_lines);
+}
+BENCHMARK(bm_dram_burst_chunk)->Arg(0)->Arg(1);
 
 static void bm_transparent_access(benchmark::State& state) {
     dram::dram_system d{dram::dram_config{}};

@@ -53,6 +53,8 @@ public:
     /// table's geometry.
     void save_state(snapshot_writer& w) const;
     void restore_state(snapshot_reader& r);
+    /// Exact number of bytes save_state appends.
+    std::size_t state_bytes() const { return 8 + 5 * entries_.size(); }
 
 private:
     struct entry {

@@ -68,6 +68,12 @@ bool page_allocator::accounting_consistent() const {
     return held + free_.size() == total_;
 }
 
+std::size_t page_allocator::state_bytes() const {
+    std::size_t n = 4 + 8 + 4 * free_.size() + 8;
+    for (const auto& [task, pages] : held_) n += 4 + 8 + 4 * pages.size();
+    return n;
+}
+
 void page_allocator::save_state(snapshot_writer& w) const {
     w.u32(total_);
     w.u64(free_.size());

@@ -58,9 +58,17 @@ cycle_t shared_cache::occupy_striped(std::uint32_t start_slice,
     // so slice s serves floor(n/slices) lines plus one if its offset from
     // start_slice is below n mod slices.
     const std::uint32_t slices = config_.slices;
-    const std::uint64_t base = nlines / slices;
-    const std::uint64_t rem = nlines % slices;
-    const std::uint32_t start_mod = start_slice % slices;
+    std::uint64_t base, rem;
+    std::uint32_t start_mod;
+    if (pow2_geometry_) {
+        base = nlines >> slice_shift_;
+        rem = nlines & slice_mask_;
+        start_mod = static_cast<std::uint32_t>(start_slice & slice_mask_);
+    } else {
+        base = nlines / slices;
+        rem = nlines % slices;
+        start_mod = start_slice % slices;
+    }
     cycle_t done = arrival;
     for (std::uint32_t s = 0; s < slices; ++s) {
         // s + slices - start_mod is in [1, 2*slices), so one conditional
@@ -104,14 +112,7 @@ void shared_cache::bump_task(std::vector<std::uint64_t>& v, task_id task) {
 access_result shared_cache::transparent_access(addr_t paddr, bool is_write,
                                                cycle_t arrival, task_id task) {
     const std::uint64_t line_id = paddr / line_bytes;
-    std::uint32_t slice, set;
-    if (pow2_geometry_) {
-        slice = static_cast<std::uint32_t>(line_id & slice_mask_);
-        set = static_cast<std::uint32_t>((line_id >> slice_shift_) & set_mask_);
-    } else {
-        slice = static_cast<std::uint32_t>(line_id % config_.slices);
-        set = static_cast<std::uint32_t>((line_id / config_.slices) % sets_);
-    }
+    const auto [slice, set] = locate(line_id);
 
     line_entry* chosen = nullptr;
     line_entry* invalid_way = nullptr;
@@ -405,7 +406,17 @@ void restore_counter_vec(snapshot_reader& r, std::vector<std::uint64_t>& v) {
 
 }  // namespace
 
+std::size_t shared_cache::state_bytes() const {
+    std::size_t n = 4 + 4 + 8 + 22 * lines_.size() + 8 + 8 * slice_free_.size() +
+                    15 * 8 + 8 + 8 * task_hits_.size() + 8 +
+                    8 * task_misses_.size() + pages_.state_bytes() + 8;
+    for (const auto& table : cpts_)
+        if (table) n += 4 + table->state_bytes();
+    return n;
+}
+
 void shared_cache::save_state(snapshot_writer& w) const {
+    w.reserve_more(state_bytes());
     w.u32(static_cast<std::uint32_t>(lines_.size()));
     w.u32(transparent_ways_);
     w.u64(lru_tick_);
@@ -446,12 +457,49 @@ void shared_cache::restore_state(snapshot_reader& r) {
     if (transparent_ways_ < 1 || transparent_ways_ > config_.ways)
         throw snapshot_error("snapshot transparent-way count out of range");
     lru_tick_ = r.u64();
-    for (auto& e : lines_) {
-        e.tag = r.u64();
-        e.lru = r.u64();
-        e.owner = r.i32();
-        e.valid = r.b();
-        e.dirty = r.b();
+    // Semantic checks on every line, so a corrupt-but-well-formed snapshot
+    // is rejected instead of resuming with lines the lookup can never find
+    // or LRU stamps the next fill would collide with. Live lines carry a
+    // stamp in [1, lru_tick_] and sit where their tag decodes; the
+    // simulator never invalidates a single line, so a dead line is
+    // all-default.
+    const auto flag = [&r](const char* what) {
+        const std::uint8_t v = r.u8();
+        if (v > 1)
+            throw snapshot_error(std::string("snapshot cache line ") + what +
+                                 " flag is not 0/1");
+        return v == 1;
+    };
+    for (std::uint32_t slice = 0; slice < config_.slices; ++slice) {
+        for (std::uint32_t set = 0; set < sets_; ++set) {
+            for (std::uint32_t way = 0; way < config_.ways; ++way) {
+                line_entry& e = lines_[entry_index(slice, set, way)];
+                e.tag = r.u64();
+                e.lru = r.u64();
+                e.owner = r.i32();
+                e.valid = flag("valid");
+                e.dirty = flag("dirty");
+                if (e.valid) {
+                    if (e.lru == 0 || e.lru > lru_tick_)
+                        throw snapshot_error(
+                            "snapshot cache line LRU stamp " +
+                            std::to_string(e.lru) + " outside [1, " +
+                            std::to_string(lru_tick_) + "]");
+                    const slice_set home = locate(e.tag);
+                    if (home.slice != slice || home.set != set)
+                        throw snapshot_error(
+                            "snapshot cache line tag " +
+                            std::to_string(e.tag) +
+                            " does not belong to slice " +
+                            std::to_string(slice) + " set " +
+                            std::to_string(set));
+                } else if (e.tag != 0 || e.lru != 0 || e.owner != no_task ||
+                           e.dirty) {
+                    throw snapshot_error(
+                        "snapshot cache holds an invalid line with state");
+                }
+            }
+        }
     }
     const std::uint64_t nslices = r.count(8);
     if (nslices != slice_free_.size())

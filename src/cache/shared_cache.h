@@ -160,6 +160,9 @@ public:
     /// mismatch.
     void save_state(snapshot_writer& w) const;
     void restore_state(snapshot_reader& r);
+    /// Exact number of bytes save_state appends (the writer's size hint:
+    /// the transparent lines alone are 22 B each, megabytes per cache).
+    std::size_t state_bytes() const;
 
 private:
     struct line_entry {
@@ -173,6 +176,21 @@ private:
     std::size_t entry_index(std::uint32_t slice, std::uint32_t set,
                             std::uint32_t way) const {
         return (static_cast<std::size_t>(slice) * sets_ + set) * config_.ways + way;
+    }
+
+    /// Transparent placement of a line id: its slice and its set within
+    /// that slice.
+    struct slice_set {
+        std::uint32_t slice;
+        std::uint32_t set;
+    };
+    slice_set locate(std::uint64_t line_id) const {
+        if (pow2_geometry_)
+            return {static_cast<std::uint32_t>(line_id & slice_mask_),
+                    static_cast<std::uint32_t>((line_id >> slice_shift_) &
+                                               set_mask_)};
+        return {static_cast<std::uint32_t>(line_id % config_.slices),
+                static_cast<std::uint32_t>((line_id / config_.slices) % sets_)};
     }
 
     /// Reserves one service slot on `slice` at or after `arrival`; returns
@@ -191,9 +209,10 @@ private:
     dram::dram_system& dram_;
     std::uint32_t sets_ = 0;
     std::uint32_t transparent_ways_ = 0;
-    // Transparent lookup decodes slice/set once per line on the hot path;
-    // power-of-two geometries (every stock config) use shift/mask, which
-    // yields the same quotients as the div/mod fallback bit for bit.
+    // Transparent lookup decodes slice/set once per line on the hot path,
+    // and NEC bursts stripe over the slices; power-of-two geometries
+    // (every stock config) use shift/mask, which yields the same quotients
+    // as the div/mod fallback bit for bit.
     bool pow2_geometry_ = false;
     std::uint32_t slice_shift_ = 0;
     std::uint64_t slice_mask_ = 0;

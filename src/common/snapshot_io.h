@@ -10,6 +10,7 @@
 // resuming a corrupt simulation.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -25,20 +26,19 @@ public:
     using std::runtime_error::runtime_error;
 };
 
-/// Appends snapshot fields to a growing byte buffer.
+/// Appends snapshot fields to a growing byte buffer. Each field is one
+/// room check and one little-endian store: the buffer is kept sized to
+/// its allocation and `size_` marks the written end, so appends never go
+/// through the vector's element-wise insert path.
 class snapshot_writer {
 public:
-    void u8(std::uint8_t v) { buf_.push_back(v); }
+    void u8(std::uint8_t v) { put_le<1>(v); }
     void b(bool v) { u8(v ? 1 : 0); }
 
-    void u32(std::uint32_t v) {
-        for (int i = 0; i < 4; ++i) buf_.push_back((v >> (8 * i)) & 0xff);
-    }
+    void u32(std::uint32_t v) { put_le<4>(v); }
     void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
 
-    void u64(std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) buf_.push_back((v >> (8 * i)) & 0xff);
-    }
+    void u64(std::uint64_t v) { put_le<8>(v); }
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
     /// Raw IEEE-754 payload: round-trips bit-exactly, NaNs included.
@@ -50,20 +50,64 @@ public:
 
     void str(const std::string& s) {
         u64(s.size());
-        buf_.insert(buf_.end(), s.begin(), s.end());
+        put_raw(s.data(), s.size());
     }
 
     /// Length-prefixed opaque blob (nested subsystem sections).
     void blob(const std::vector<std::uint8_t>& bytes) {
         u64(bytes.size());
-        buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+        put_raw(bytes.data(), bytes.size());
     }
 
-    const std::vector<std::uint8_t>& bytes() const { return buf_; }
-    std::vector<std::uint8_t> take() { return std::move(buf_); }
+    /// Size hint: makes room for `n` more bytes in one exact allocation,
+    /// so a caller that knows its section size (the cache's transparent
+    /// lines run to megabytes) skips the doubling regrowth and its slack.
+    /// Never changes the bytes.
+    void reserve_more(std::size_t n) {
+        if (buf_.size() - size_ >= n) return;
+        buf_.reserve(size_ + n);
+        buf_.resize(size_ + n);
+    }
+
+    /// The bytes written so far (trims the unwritten room first).
+    const std::vector<std::uint8_t>& bytes() {
+        buf_.resize(size_);
+        return buf_;
+    }
+    std::vector<std::uint8_t> take() {
+        buf_.resize(size_);
+        size_ = 0;
+        std::vector<std::uint8_t> out;
+        out.swap(buf_);
+        return out;
+    }
 
 private:
-    std::vector<std::uint8_t> buf_;
+    /// Appends the low N bytes of `v`, least significant first (the byte
+    /// loop folds to a single store).
+    template <int N>
+    void put_le(std::uint64_t v) {
+        if (buf_.size() - size_ < N) grow(N);
+        std::uint8_t* p = buf_.data() + size_;
+        for (int i = 0; i < N; ++i)
+            p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        size_ += N;
+    }
+
+    void put_raw(const void* data, std::size_t n) {
+        if (n == 0) return;
+        if (buf_.size() - size_ < n) grow(n);
+        std::memcpy(buf_.data() + size_, data, n);
+        size_ += n;
+    }
+
+    /// Fills the allocation first, then regrows geometrically.
+    void grow(std::size_t n) {
+        buf_.resize(std::max({size_ + n, 2 * buf_.size(), buf_.capacity()}));
+    }
+
+    std::vector<std::uint8_t> buf_;  // sized to its room; [0, size_) written
+    std::size_t size_ = 0;
 };
 
 /// Consumes snapshot fields from a byte buffer; throws snapshot_error on
@@ -81,24 +125,10 @@ public:
     }
     bool b() { return u8() != 0; }
 
-    std::uint32_t u32() {
-        need(4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 4;
-        return v;
-    }
+    std::uint32_t u32() { return static_cast<std::uint32_t>(get_le<4>()); }
     std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
 
-    std::uint64_t u64() {
-        need(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 8;
-        return v;
-    }
+    std::uint64_t u64() { return get_le<8>(); }
     std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
 
     double d() {
@@ -141,6 +171,19 @@ public:
     bool done() const { return pos_ == size_; }
 
 private:
+    /// One bounds check, then the little-endian assembly of N bytes (the
+    /// shift-or chain folds to a single load).
+    template <int N>
+    std::uint64_t get_le() {
+        need(N);
+        const std::uint8_t* p = data_ + pos_;
+        std::uint64_t v = 0;
+        for (int i = 0; i < N; ++i)
+            v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+        pos_ += N;
+        return v;
+    }
+
     void need(std::uint64_t n) const {
         if (n > remaining())
             throw snapshot_error("snapshot truncated at byte " +

@@ -188,110 +188,6 @@ bool dram_system::regulate_bulk(task_id task, cycle_t arrival,
     return true;
 }
 
-cycle_t dram_system::burst_closed_form(addr_t line_addr, std::uint64_t nlines,
-                                       cycle_t arrival, cycle_t* first_done) {
-    // Consecutive lines stripe channels -> banks -> rows, so each channel's
-    // subsequence (own data bus, own banks) times independently. Within a
-    // channel, in-channel line index u walks one row block until a pow2
-    // boundary; inside such a segment every bank's visit chain is linear:
-    //   start(v) = R1 + (v-1)*D  for v >= 1, with
-    //   R1 = max(arrival, ready) + busy(first visit),  D = tCCD deci.
-    // The only cross-bank coupling is the channel bus prefix-max
-    //   data_start(j) = max(cmd_done(j), data_start(j-1) + S),
-    // whose closed form is data_start(j) = j*S + max(P, max_{k<=j} G(k))
-    // with G(k) = cmd_done(k) - k*S and P the incoming bus horizon. G is
-    // linear in the visit index per bank, so its segment max needs only
-    // each bank's first visit and the two endpoints of its chain.
-    const std::uint64_t line_id0 = line_addr / line_bytes;
-    const std::uint64_t arrival_deci = arrival * deci;
-    const std::uint64_t S = data_slot_deci_;
-    const std::uint64_t D = config_.t_ccd * deci;
-    const std::uint64_t tcl = config_.t_cl * deci;
-    const std::uint64_t nbanks = config_.banks_per_channel;
-    const std::uint64_t nchannels = config_.channels;
-    const std::uint32_t row_block_shift = bank_shift_ + row_shift_;
-    const std::uint64_t row_block = std::uint64_t{1} << row_block_shift;
-
-    cycle_t done = arrival;
-    const std::uint64_t touched = std::min<std::uint64_t>(nchannels, nlines);
-    for (std::uint64_t i0 = 0; i0 < touched; ++i0) {
-        const std::uint64_t first_id = line_id0 + i0;
-        const std::uint32_t c =
-            static_cast<std::uint32_t>(first_id & channel_mask_);
-        std::uint64_t remaining = (nlines - i0 + nchannels - 1) / nchannels;
-        std::uint64_t u = first_id >> channel_shift_;
-        std::uint64_t bus = bus_free_[c];
-        bank_state* cbanks = &banks_[static_cast<std::size_t>(c) * nbanks];
-        bool first_segment = true;
-        while (remaining > 0) {
-            const std::uint64_t len =
-                std::min(remaining, row_block - (u & (row_block - 1)));
-            const std::int64_t row =
-                static_cast<std::int64_t>(u >> row_block_shift);
-            const std::uint64_t visited = std::min(nbanks, len);
-            std::int64_t gmax = static_cast<std::int64_t>(bus);
-            for (std::uint64_t t = 0; t < visited; ++t) {
-                bank_state& bank = cbanks[(u + t) & bank_mask_];
-                const std::uint64_t start0 =
-                    std::max(arrival_deci, bank.ready_deci);
-                std::uint64_t extra;
-                if (bank.open_row == row) {
-                    ++stats_.row_hits;
-                    extra = 0;
-                } else if (bank.open_row < 0) {
-                    ++stats_.row_empties;
-                    extra = config_.t_rcd * deci;
-                } else {
-                    ++stats_.row_misses;
-                    extra = (config_.t_rp + config_.t_rcd) * deci;
-                }
-                bank.open_row = row;
-                const std::uint64_t cmd0 = start0 + tcl + extra;
-                const std::uint64_t r1 = start0 + D + extra;
-                const std::uint64_t visits = (len - t + nbanks - 1) / nbanks;
-                bank.ready_deci = r1 + (visits - 1) * D;
-                // Visits past the first are same-row CAS hits, exactly as
-                // the per-line walk would classify them.
-                stats_.row_hits += visits - 1;
-                std::int64_t g = static_cast<std::int64_t>(cmd0) -
-                                 static_cast<std::int64_t>(t * S);
-                if (g > gmax) gmax = g;
-                if (visits >= 2) {
-                    const std::int64_t g1 =
-                        static_cast<std::int64_t>(r1 + tcl) -
-                        static_cast<std::int64_t>((t + nbanks) * S);
-                    const std::int64_t gl =
-                        static_cast<std::int64_t>(r1 + (visits - 2) * D +
-                                                  tcl) -
-                        static_cast<std::int64_t>(
-                            (t + (visits - 1) * nbanks) * S);
-                    if (g1 > gmax) gmax = g1;
-                    if (gl > gmax) gmax = gl;
-                }
-                if (i0 == 0 && first_segment && t == 0 &&
-                    first_done != nullptr)
-                    *first_done = (std::max(bus, cmd0) + S + controller_deci_ +
-                                   deci - 1) /
-                                  deci;
-            }
-            // Last line's data_end = (len-1)*S + max(P, max G) + S; the bus
-            // occupies S deci-cycles per line regardless of waits.
-            bus = static_cast<std::uint64_t>(gmax) + len * S;
-            stats_.bus_busy_deci += len * S;
-            u += len;
-            remaining -= len;
-            first_segment = false;
-        }
-        bus_free_[c] = bus;
-        // data_start is strictly increasing along a channel, so the
-        // channel's slowest line is its last; done = ceil of its data_end
-        // plus the controller hop.
-        const cycle_t chan_done = (bus + controller_deci_ + deci - 1) / deci;
-        if (chan_done > done) done = chan_done;
-    }
-    return done;
-}
-
 namespace {
 /// Exact sum of ceil((w1 + i*b) / deci) for i = 1..n. When the step is a
 /// whole number of cycles the ceil distributes; otherwise the tail is
@@ -307,63 +203,96 @@ std::uint64_t ceil_ap_sum(std::uint64_t w1, std::uint64_t b, std::uint64_t n) {
 }
 }  // namespace
 
-cycle_t dram_system::burst_lines_attr(addr_t line_addr, std::uint64_t nlines,
-                                      cycle_t arrival, task_id task,
-                                      cycle_t* first_done) {
-    const std::uint64_t S = data_slot_deci_;
-    const std::uint64_t D = config_.t_ccd * deci;
-    const std::uint64_t nbanks = config_.banks_per_channel;
-    // The closed form needs the bus prefix-max candidates confined to the
-    // first two visit rounds, i.e. each bank's G chain non-increasing from
-    // its second visit on: D <= nbanks*S. Command-bound geometries (a
-    // bank's CAS cadence outruns the whole channel bus) take the exact
-    // per-line walk instead.
-    if (D > nbanks * S)
-        return burst_attr_perline(line_addr, nlines, arrival, task,
-                                  first_done);
-
+template <bool Attr>
+cycle_t dram_system::burst_closed_form(addr_t line_addr, std::uint64_t nlines,
+                                       cycle_t arrival, task_id task,
+                                       cycle_t* first_done) {
+    // Consecutive lines stripe channels -> banks -> rows, so each channel's
+    // subsequence (own data bus, own banks) times independently. Within a
+    // channel, in-channel line index u walks one row block until a pow2
+    // boundary. In such a segment of len lines, the t-th bank touched
+    // takes the lines t, t + nbanks, ... — exactly
+    //   n_t = ceil((len - t) / nbanks)
+    //       = (len >> bank_shift) + (t < (len & bank_mask))
+    // visits, the first paying the row switch and every later one a
+    // same-row CAS hit D = tCCD deci after the previous. The only
+    // cross-bank coupling is the channel bus prefix-max
+    //   data_start(j) = max(cmd_done(j), data_start(j-1) + S),
+    // whose closed form is data_start(j) = j*S + max(P, max_{k<=j} G(k))
+    // with G(k) = cmd_done(k) - k*S and P the incoming bus horizon. Along
+    // a bank's chain G moves by D - nbanks*S per visit, so each bank's
+    // largest G is its first visit's, plus (n_t - 1) of those steps when
+    // they are positive: O(banks) per segment instead of O(lines).
+    //
+    // With Attr the waits are charged as well. After a resource's first
+    // use in the burst its holder is `task` itself, so almost every wait
+    // is a self-charge; self-charges fold into one hook call per channel,
+    // and foreign-holder waits (only a resource's first touch can produce
+    // one) fold by holder the same way — the attributor accumulates
+    // commutative per-(victim, holder) sums, so the folding is
+    // bit-identical. Bank-chain waits are arithmetic progressions with
+    // step tCCD. The attributed form requires D <= nbanks*S, so no later
+    // visit raises the bus prefix max: after the first visits it stays at
+    // M = gmax, and bank t's later bus waits are ceil((M - G0_t + v*B) /
+    // deci) for v = 1..n_t-1 with B = nbanks*S - D, also summed in closed
+    // form.
+    //
+    // Everything the loops read from *this is copied into locals first,
+    // and the row stats are counted in locals and committed once: the
+    // bank-state stores could otherwise alias the members and force a
+    // reload (or store) of each one per bank visit.
     const std::uint64_t line_id0 = line_addr / line_bytes;
     const std::uint64_t arrival_deci = arrival * deci;
+    const std::uint64_t S = data_slot_deci_;
+    const std::uint64_t D = config_.t_ccd * deci;
     const std::uint64_t tcl = config_.t_cl * deci;
-    const std::uint64_t nchannels = config_.channels;
-    const std::uint32_t row_block_shift = bank_shift_ + row_shift_;
+    const std::uint64_t empty_extra = config_.t_rcd * deci;
+    const std::uint64_t miss_extra = (config_.t_rp + config_.t_rcd) * deci;
+    const std::uint64_t ctrl = controller_deci_;
+    const std::uint64_t nbanks = config_.banks_per_channel;
+    const std::uint32_t channel_shift = channel_shift_;
+    const std::uint64_t channel_mask = channel_mask_;
+    const std::uint32_t bank_shift = bank_shift_;
+    const std::uint64_t bank_mask = bank_mask_;
+    const std::uint32_t row_block_shift = bank_shift + row_shift_;
     const std::uint64_t row_block = std::uint64_t{1} << row_block_shift;
-    const std::uint64_t B = nbanks * S - D;  // per-round bus-wait growth
-    if (attr_g1_.size() < nbanks) {
-        attr_g1_.resize(nbanks);
-        attr_visits_.resize(nbanks);
+    const std::int64_t rise =
+        std::max<std::int64_t>(static_cast<std::int64_t>(D) -
+                                   static_cast<std::int64_t>(nbanks * S),
+                               0);
+    bank_state* const banks = banks_.data();
+    std::uint64_t* const bus_free = bus_free_.data();
+    if constexpr (Attr) {
+        if (attr_g0_.size() < nbanks) attr_g0_.resize(nbanks);
     }
+    std::int64_t* const g0s = Attr ? attr_g0_.data() : nullptr;
+    task_id* const bus_users = Attr ? bus_user_.data() : nullptr;
+    std::uint64_t hits = 0, empties = 0, misses = 0;
 
     cycle_t done = arrival;
-    const std::uint64_t touched = std::min<std::uint64_t>(nchannels, nlines);
+    const std::uint64_t touched = std::min<std::uint64_t>(config_.channels,
+                                                          nlines);
     for (std::uint64_t i0 = 0; i0 < touched; ++i0) {
         const std::uint64_t first_id = line_id0 + i0;
         const std::uint32_t c =
-            static_cast<std::uint32_t>(first_id & channel_mask_);
-        std::uint64_t remaining = (nlines - i0 + nchannels - 1) / nchannels;
-        std::uint64_t u = first_id >> channel_shift_;
-        std::uint64_t bus = bus_free_[c];
-        bank_state* cbanks = &banks_[static_cast<std::size_t>(c) * nbanks];
-        task_id* cbank_users =
-            &bank_user_[static_cast<std::size_t>(c) * nbanks];
-        // Within the burst, every wait after a resource's first use is a
-        // self-charge; those fold into one hook call per channel (the
-        // attributor accumulates commutative sums, so aggregation is
-        // bit-identical). Foreign-holder waits — possible only at each
-        // resource's first touch — aggregate by holder the same way:
-        // adjacent bursts sweep the same banks, so one prior user
-        // typically holds every touched resource and a whole channel's
-        // foreign waits collapse into one call.
+            static_cast<std::uint32_t>(first_id & channel_mask);
+        std::uint64_t remaining = (nlines - i0 + channel_mask) >> channel_shift;
+        std::uint64_t u = first_id >> channel_shift;
+        std::uint64_t bus = bus_free[c];
+        bank_state* const cbanks = banks + static_cast<std::size_t>(c) * nbanks;
+        task_id* const cbank_users =
+            Attr ? bank_user_.data() + static_cast<std::size_t>(c) * nbanks
+                 : nullptr;
         std::uint64_t self_wait = 0;
-        task_id fh = no_task;
+        task_id fh = no_task;  // pending foreign holder and its folded wait
         std::uint64_t fw = 0;
-        const auto foreign = [&](task_id h, std::uint64_t w) {
-            if (h == fh) {
+        const auto foreign = [&](task_id holder, std::uint64_t w) {
+            if (holder == fh) {
                 fw += w;
                 return;
             }
             if (fw > 0) attr_->on_dram_wait(task, fh, fw);
-            fh = h;
+            fh = holder;
             fw = w;
         };
         bool first_segment = true;
@@ -372,115 +301,123 @@ cycle_t dram_system::burst_lines_attr(addr_t line_addr, std::uint64_t nlines,
                 std::min(remaining, row_block - (u & (row_block - 1)));
             const std::int64_t row =
                 static_cast<std::int64_t>(u >> row_block_shift);
-            const std::uint64_t visited = std::min(nbanks, len);
-            std::int64_t runmax = static_cast<std::int64_t>(bus);
-            // Round 0: each visited bank's first line, in bus (j) order.
-            for (std::uint64_t t = 0; t < visited; ++t) {
-                const std::uint64_t b = (u + t) & bank_mask_;
-                bank_state& bank = cbanks[b];
-                const std::uint64_t start0 =
-                    std::max(arrival_deci, bank.ready_deci);
-                if (start0 > arrival_deci) {
-                    const std::uint64_t w =
-                        (start0 - arrival_deci + deci - 1) / deci;
-                    if (cbank_users[b] == task) self_wait += w;
-                    else foreign(cbank_users[b], w);
-                }
-                cbank_users[b] = task;
-                std::uint64_t extra;
-                if (bank.open_row == row) {
-                    ++stats_.row_hits;
-                    extra = 0;
-                } else if (bank.open_row < 0) {
-                    ++stats_.row_empties;
-                    extra = config_.t_rcd * deci;
-                } else {
-                    ++stats_.row_misses;
-                    extra = (config_.t_rp + config_.t_rcd) * deci;
-                }
-                bank.open_row = row;
-                const std::uint64_t cmd0 = start0 + tcl + extra;
-                const std::uint64_t r1 = start0 + D + extra;
-                const std::uint64_t visits = (len - t + nbanks - 1) / nbanks;
-                bank.ready_deci = r1 + (visits - 1) * D;
-                stats_.row_hits += visits - 1;
-                // Bank-chain waits for visits v >= 1: start(v) - arrival =
-                // (r1 - arrival) + (v-1)*D, an arithmetic progression whose
-                // step is a whole number of cycles, so the per-line ceils
-                // sum in closed form. All self-charges (the bank's holder
-                // is `task` from its first visit on).
-                if (visits >= 2) {
-                    const std::uint64_t k =
-                        (r1 - arrival_deci + deci - 1) / deci;
-                    self_wait += (visits - 1) * k +
-                                 config_.t_ccd * ((visits - 1) * (visits - 2) /
-                                                  2);
-                }
-                // Bus wait of line j = t: M(j) - G(j), M the running max.
-                const std::int64_t g0 = static_cast<std::int64_t>(cmd0) -
-                                        static_cast<std::int64_t>(t * S);
-                if (runmax > g0) {
-                    const std::uint64_t w =
-                        (static_cast<std::uint64_t>(runmax - g0) + deci - 1) /
-                        deci;
-                    if (first_segment && t == 0 && bus_user_[c] != task)
-                        foreign(bus_user_[c], w);
-                    else
-                        self_wait += w;
-                } else {
-                    runmax = g0;
-                }
-                if (first_segment && t == 0) {
-                    bus_user_[c] = task;
-                    if (i0 == 0 && first_done != nullptr)
-                        *first_done =
-                            (std::max(bus, cmd0) + S + controller_deci_ +
-                             deci - 1) /
-                            deci;
-                }
-                attr_g1_[t] = visits >= 2
-                                  ? static_cast<std::int64_t>(r1 + tcl) -
-                                        static_cast<std::int64_t>(
-                                            (t + nbanks) * S)
-                                  : 0;
-                attr_visits_[t] = visits;
-            }
-            // Round 1: the second visits, in bus order — the last lines
-            // where the prefix-max can still grow (G is non-increasing
-            // from the second visit on when D <= nbanks*S).
-            if (len > nbanks) {
-                const std::uint64_t second = std::min(nbanks, len - nbanks);
-                for (std::uint64_t t = 0; t < second; ++t) {
-                    const std::int64_t g1 = attr_g1_[t];
-                    if (runmax > g1)
-                        self_wait +=
-                            (static_cast<std::uint64_t>(runmax - g1) + deci -
-                             1) /
-                            deci;
-                    else
-                        runmax = g1;
-                }
-                // Rounds >= 2: M has plateaued at runmax, and each bank's
-                // remaining waits grow by B = nbanks*S - D per round.
-                for (std::uint64_t t = 0; t < second; ++t) {
-                    if (attr_visits_[t] < 3) continue;
-                    const std::uint64_t w1 =
-                        static_cast<std::uint64_t>(runmax - attr_g1_[t]);
-                    self_wait += ceil_ap_sum(w1, B, attr_visits_[t] - 2);
+            const std::uint64_t visit_base = len >> bank_shift;
+            const std::uint64_t visit_rem = len & bank_mask;
+            const std::uint64_t visited = visit_base > 0 ? nbanks : visit_rem;
+            std::int64_t gmax = static_cast<std::int64_t>(bus);
+            // First visits, in bus (j) order. Banks t < visit_rem take one
+            // visit more than the rest, so each of the two runs has a
+            // fixed visit count and chain length.
+            for (int run = 0; run < 2; ++run) {
+                const std::uint64_t visits = visit_base + (run == 0 ? 1 : 0);
+                const std::uint64_t t_end = run == 0 ? visit_rem : visited;
+                const std::uint64_t chain = visits * D;
+                const std::int64_t lift =
+                    static_cast<std::int64_t>(visits - 1) * rise;
+                std::uint64_t t = run == 0 ? 0 : visit_rem;
+                // Visits past the first are same-row CAS hits, exactly as
+                // the per-line walk would classify them.
+                hits += (t_end - t) * (visits - 1);
+                for (; t < t_end; ++t) {
+                    const std::uint64_t b = (u + t) & bank_mask;
+                    bank_state& bank = cbanks[b];
+                    const std::uint64_t start0 =
+                        std::max(arrival_deci, bank.ready_deci);
+                    std::uint64_t extra;
+                    if (bank.open_row == row) {
+                        ++hits;
+                        extra = 0;
+                    } else if (bank.open_row < 0) {
+                        ++empties;
+                        extra = empty_extra;
+                    } else {
+                        ++misses;
+                        extra = miss_extra;
+                    }
+                    bank.open_row = row;
+                    bank.ready_deci = start0 + extra + chain;
+                    const std::int64_t g0 =
+                        static_cast<std::int64_t>(start0 + extra + tcl) -
+                        static_cast<std::int64_t>(t * S);
+                    if constexpr (Attr) {
+                        if (start0 > arrival_deci) {
+                            const std::uint64_t w =
+                                (start0 - arrival_deci + deci - 1) / deci;
+                            if (cbank_users[b] == task) self_wait += w;
+                            else foreign(cbank_users[b], w);
+                        }
+                        cbank_users[b] = task;
+                        // Visit v >= 1 starts (start0 + extra + D -
+                        // arrival) + (v-1)*D after arrival, always a wait,
+                        // on the bank `task` now holds.
+                        if (visits >= 2) {
+                            const std::uint64_t k =
+                                (start0 + extra + D - arrival_deci + deci -
+                                 1) /
+                                deci;
+                            self_wait += (visits - 1) * k +
+                                         D / deci * ((visits - 1) *
+                                                     (visits - 2) / 2);
+                        }
+                        // Bus wait of line j = t: M(j) - G(j).
+                        const bool bus_first = first_segment && t == 0;
+                        if (gmax > g0) {
+                            const std::uint64_t w =
+                                (static_cast<std::uint64_t>(gmax - g0) +
+                                 deci - 1) /
+                                deci;
+                            if (bus_first && bus_users[c] != task)
+                                foreign(bus_users[c], w);
+                            else
+                                self_wait += w;
+                        }
+                        if (bus_first) bus_users[c] = task;
+                        g0s[t] = g0;
+                    }
+                    gmax = std::max(gmax, g0 + lift);
                 }
             }
-            bus = static_cast<std::uint64_t>(runmax) + len * S;
-            stats_.bus_busy_deci += len * S;
+            if constexpr (Attr) {
+                if (visit_base > 0) {
+                    const std::uint64_t B = nbanks * S - D;
+                    for (std::uint64_t t = 0; t < nbanks; ++t)
+                        self_wait += ceil_ap_sum(
+                            static_cast<std::uint64_t>(gmax - g0s[t]), B,
+                            visit_base - 1 + (t < visit_rem ? 1 : 0));
+                }
+            }
+            if (first_segment && i0 == 0 && first_done != nullptr) {
+                // Line 0 is its bank's first visit: the bank's new ready
+                // horizon is that visit's start + row switch + n_0 chain
+                // steps, and its command completes tCL after the start +
+                // row switch.
+                const std::uint64_t n0 = visit_base + (visit_rem > 0 ? 1 : 0);
+                const std::uint64_t cmd0 =
+                    cbanks[u & bank_mask].ready_deci - n0 * D + tcl;
+                *first_done = (std::max(bus, cmd0) + S + ctrl + deci - 1) / deci;
+            }
+            // Last line's data_end = (len-1)*S + max(P, max G) + S; the bus
+            // occupies S deci-cycles per line regardless of waits.
+            bus = static_cast<std::uint64_t>(gmax) + len * S;
             u += len;
             remaining -= len;
             first_segment = false;
         }
-        if (fw > 0) attr_->on_dram_wait(task, fh, fw);
-        if (self_wait > 0) attr_->on_dram_wait(task, task, self_wait);
-        bus_free_[c] = bus;
-        const cycle_t chan_done = (bus + controller_deci_ + deci - 1) / deci;
+        if constexpr (Attr) {
+            if (fw > 0) attr_->on_dram_wait(task, fh, fw);
+            if (self_wait > 0) attr_->on_dram_wait(task, task, self_wait);
+        }
+        bus_free[c] = bus;
+        // data_start is strictly increasing along a channel, so the
+        // channel's slowest line is its last; done = ceil of its data_end
+        // plus the controller hop.
+        const cycle_t chan_done = (bus + ctrl + deci - 1) / deci;
         if (chan_done > done) done = chan_done;
     }
+    stats_.row_hits += hits;
+    stats_.row_empties += empties;
+    stats_.row_misses += misses;
+    stats_.bus_busy_deci += nlines * S;
     return done;
 }
 
@@ -585,16 +522,16 @@ cycle_t dram_system::burst_attr_perline(addr_t line_addr, std::uint64_t nlines,
     const std::uint64_t arrival_deci = arrival * deci;
     const std::uint64_t S = data_slot_deci_;
     const std::uint64_t nbanks = config_.banks_per_channel;
-    const std::uint64_t nchannels = config_.channels;
     const std::uint32_t row_block_shift = bank_shift_ + row_shift_;
 
     cycle_t done = arrival;
-    const std::uint64_t touched = std::min<std::uint64_t>(nchannels, nlines);
+    const std::uint64_t touched = std::min<std::uint64_t>(config_.channels,
+                                                          nlines);
     for (std::uint64_t i0 = 0; i0 < touched; ++i0) {
         const std::uint64_t first_id = line_id0 + i0;
         const std::uint32_t c =
             static_cast<std::uint32_t>(first_id & channel_mask_);
-        const std::uint64_t m = (nlines - i0 + nchannels - 1) / nchannels;
+        const std::uint64_t m = (nlines - i0 + channel_mask_) >> channel_shift_;
         std::uint64_t u = first_id >> channel_shift_;
         std::uint64_t bus = bus_free_[c];
         bank_state* cbanks = &banks_[static_cast<std::size_t>(c) * nbanks];
@@ -688,10 +625,20 @@ cycle_t dram_system::access_burst(addr_t line_addr, std::uint64_t nlines,
         // independent.
         if (nlines <= config_.channels)
             return burst_tiny(line_addr, nlines, arrival, task, first_done);
-        return attr_ != nullptr
-                   ? burst_lines_attr(line_addr, nlines, arrival, task,
-                                      first_done)
-                   : burst_closed_form(line_addr, nlines, arrival, first_done);
+        if (attr_ == nullptr)
+            return burst_closed_form<false>(line_addr, nlines, arrival, task,
+                                            first_done);
+        // The attributed closed form needs the bus prefix-max candidates
+        // confined to the first two visit rounds, i.e. each bank's G chain
+        // non-increasing from its second visit on: D <= nbanks*S.
+        // Command-bound geometries (a bank's CAS cadence outruns the whole
+        // channel bus) take the exact per-line walk instead.
+        if (config_.t_ccd * deci >
+            config_.banks_per_channel * data_slot_deci_)
+            return burst_attr_perline(line_addr, nlines, arrival, task,
+                                      first_done);
+        return burst_closed_form<true>(line_addr, nlines, arrival, task,
+                                       first_done);
     }
     // Non-pow2 geometry, or the burst crosses a regulation budget edge:
     // the exact per-line walk (regulate per line, throttle accounting,
@@ -734,7 +681,13 @@ void dram_system::reset_timing() {
     std::fill(bus_free_.begin(), bus_free_.end(), 0);
 }
 
+std::size_t dram_system::state_bytes() const {
+    return 8 + 16 * banks_.size() + 8 + 8 * bus_free_.size() + 8 +
+           24 * regulators_.size() + 8 + 8 * per_task_bytes_.size() + 7 * 8;
+}
+
 void dram_system::save_state(snapshot_writer& w) const {
+    w.reserve_more(state_bytes());
     w.u64(banks_.size());
     for (const auto& b : banks_) {
         w.i64(b.open_row);

@@ -84,6 +84,8 @@ public:
     /// restore_state throws snapshot_error on a geometry mismatch.
     void save_state(snapshot_writer& w) const;
     void restore_state(snapshot_reader& r);
+    /// Exact number of bytes save_state appends (the writer's size hint).
+    std::size_t state_bytes() const;
 
     /// Average achieved bandwidth (bytes/cycle) over [0, horizon].
     double achieved_bandwidth(cycle_t horizon) const {
@@ -146,32 +148,31 @@ private:
     /// scalar sequence (window advances, throttle counts, attribution).
     bool regulate_bulk(task_id task, cycle_t arrival, std::uint64_t nlines);
 
-    /// Batched burst timing for pow2 geometry with no attributor attached.
+    /// Batched burst timing for pow2 geometry, the one closed-form kernel.
     /// Splits each channel's line subsequence into row-chain segments and
     /// computes per-segment timing in closed form: per visited bank, the
     /// ready/CAS chain is linear in the visit index, so the channel's
     /// bus-serialization prefix-max needs only the endpoints of each bank's
-    /// chain — O(banks) per segment instead of O(lines). Bit-identical
-    /// results and state updates to the per-line loop.
+    /// chain — O(banks) per segment instead of O(lines), with geometry
+    /// applied as shifts and masks only. Bit-identical results and state
+    /// updates to the per-line loop.
+    ///
+    /// With `Attr` the kernel also feeds the attributor, in closed form:
+    /// within a burst every resource's holder is `task` itself after its
+    /// first use, so per-line waits fold into per-channel self-charge sums
+    /// (the attributor accumulates commutative sums keyed by (victim,
+    /// holder tenant) — aggregating equal-key calls is bit-identical).
+    /// Bank-chain waits are arithmetic progressions with step tCCD (exact,
+    /// since the chain step D = tCCD*deci is a whole number of cycles);
+    /// bus waits come from the same prefix-max G structure: the first
+    /// visits are walked explicitly, and each bank's later waits form an
+    /// arithmetic progression. The attributed form requires D <= nbanks*S
+    /// (no later visit can then raise the prefix max); the rare
+    /// command-bound geometry takes burst_attr_perline instead.
+    template <bool Attr>
     cycle_t burst_closed_form(addr_t line_addr, std::uint64_t nlines,
-                              cycle_t arrival, cycle_t* first_done);
-
-    /// Batched burst timing with the attributor attached. Same segment
-    /// decomposition as burst_closed_form, plus closed-form wait sums for
-    /// the hooks: within a burst every resource's holder is `task` itself
-    /// after its first use, so per-line waits fold into per-channel
-    /// self-charge sums (the attributor accumulates commutative sums keyed
-    /// by (victim, holder tenant) — aggregating equal-key calls is
-    /// bit-identical). Bank-chain waits are arithmetic progressions with
-    /// step tCCD (exact, since the chain step D = tCCD*deci is a whole
-    /// number of cycles); bus waits come from the same prefix-max G
-    /// structure, walking the first two visit rounds explicitly and
-    /// summing the linear tail per bank. Requires D <= nbanks*S (the
-    /// prefix-max candidates then live in the first two rounds); the rare
-    /// command-bound geometry falls back to burst_attr_perline.
-    cycle_t burst_lines_attr(addr_t line_addr, std::uint64_t nlines,
-                             cycle_t arrival, task_id task,
-                             cycle_t* first_done);
+                              cycle_t arrival, task_id task,
+                              cycle_t* first_done);
 
     /// Bursts no longer than the channel count stripe one line onto each
     /// channel, so every line is independent of the rest of the burst —
@@ -185,8 +186,8 @@ private:
 
     /// Per-line walk with the attributor attached (decode hoisted to
     /// incremental per-channel form, self-waits aggregated per channel):
-    /// the authoritative fallback for geometries burst_lines_attr's
-    /// closed form does not cover, and the reference the equivalence
+    /// the authoritative fallback for geometries the attributed closed
+    /// form does not cover, and the reference the equivalence
     /// tests compare against.
     cycle_t burst_attr_perline(addr_t line_addr, std::uint64_t nlines,
                                cycle_t arrival, task_id task,
@@ -201,11 +202,10 @@ private:
     dram_config config_;
     std::vector<bank_state> banks_;        // channel * banks + bank
     std::vector<std::uint64_t> bus_free_;  // per channel, deci-cycles
-    /// burst_lines_attr per-segment scratch (one slot per bank of the
-    /// channel being processed): each bank's second-visit G value and its
-    /// visit count. Members so steady-state bursts allocate nothing.
-    std::vector<std::int64_t> attr_g1_;
-    std::vector<std::uint64_t> attr_visits_;
+    /// Attributed closed-form per-segment scratch: each touched bank's
+    /// first-visit G value. A member so steady-state bursts allocate
+    /// nothing.
+    std::vector<std::int64_t> attr_g0_;
     std::vector<regulator_state> regulators_;     // indexed by task id
     std::vector<std::uint64_t> per_task_bytes_;   // indexed by task id
     dram_stats stats_;

@@ -453,6 +453,9 @@ scheduler_snapshot scheduler::save() const {
 
     {
         snapshot_writer w;
+        // One exact allocation for both sections (megabytes per SoC).
+        w.reserve_more(machine_.cache().state_bytes() +
+                       machine_.dram().state_bytes());
         machine_.cache().save_state(w);
         machine_.dram().save_state(w);
         s.machine = w.take();

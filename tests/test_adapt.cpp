@@ -451,9 +451,11 @@ TEST(cluster_feedback, warm_carry_preserves_cache_warmth_across_rounds) {
     EXPECT_GT(warm_rate, cold_rate);
 
     // The carried clock keeps per-SoC makespans monotone across rounds.
-    for (std::size_t s = 0; s < S; ++s)
-        if (!warm.per_soc[S + s].completions.empty())
+    for (std::size_t s = 0; s < S; ++s) {
+        if (!warm.per_soc[S + s].completions.empty()) {
             EXPECT_GE(warm.per_soc[S + s].makespan, warm.per_soc[s].makespan);
+        }
+    }
 }
 
 TEST(cluster_feedback, warm_carry_deterministic_across_pool_widths) {

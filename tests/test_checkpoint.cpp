@@ -27,6 +27,7 @@
 
 #include "cache/cpt.h"
 #include "cache/page_allocator.h"
+#include "cache/shared_cache.h"
 #include "common/rng.h"
 #include "model/model_zoo.h"
 #include "runtime/scheduler.h"
@@ -482,6 +483,92 @@ TEST(checkpoint, corrupt_but_well_formed_state_is_rejected) {
     snapshot_reader cr(cbytes);
     cache::cache_page_table fresh_cpt(cc);
     EXPECT_THROW(fresh_cpt.restore_state(cr), snapshot_error);
+}
+
+TEST(checkpoint, cache_restore_rejects_flipped_line_bytes) {
+    // A small warm cache: a few hundred live transparent lines among
+    // thousands of dead ones, so flips land in both kinds.
+    dram::dram_system dram{dram::dram_config{}};
+    cache::cache_config cc;
+    cc.total_bytes = mib(1);
+    cache::shared_cache warm{cc, dram};
+    rng gen(0xf11b);
+    for (int i = 0; i < 600; ++i)
+        warm.transparent_access(gen.next_below(1 << 20) * line_bytes,
+                                gen.next_below(2) == 1,
+                                static_cast<cycle_t>(i),
+                                static_cast<task_id>(i % 3));
+    snapshot_writer w;
+    warm.save_state(w);
+    const std::vector<std::uint8_t> good = w.take();
+
+    const auto loads = [&](const std::vector<std::uint8_t>& bytes) {
+        cache::shared_cache fresh{cc, dram};
+        snapshot_reader r(bytes);
+        fresh.restore_state(r);
+        snapshot_writer again;
+        fresh.save_state(again);
+        return again.take() == bytes;
+    };
+    ASSERT_TRUE(loads(good));  // what the simulator writes still loads
+
+    // Section layout: u32 line count, u32 transparent ways, u64 lru_tick,
+    // then 22 B per line: u64 tag, u64 lru, i32 owner, valid, dirty.
+    constexpr std::size_t header = 16, stride = 22;
+    const std::size_t nlines = cc.lines_total();
+    const auto line_valid = [&](std::size_t i) {
+        return good[header + i * stride + 20] != 0;
+    };
+    std::vector<std::size_t> live, dead;
+    for (std::size_t i = 0; i < nlines; ++i)
+        (line_valid(i) ? live : dead).push_back(i);
+    ASSERT_GE(live.size(), 100u);
+    ASSERT_GE(dead.size(), 100u);
+
+    const auto rejects = [&](std::size_t byte, std::uint8_t mask) {
+        auto bad = good;
+        bad[byte] ^= mask;
+        cache::shared_cache fresh{cc, dram};
+        snapshot_reader r(bad);
+        try {
+            fresh.restore_state(r);
+        } catch (const snapshot_error&) {
+            return true;
+        }
+        return false;
+    };
+    for (std::size_t k = 0; k < 40; ++k) {
+        const std::size_t at = header + live[k * live.size() / 40] * stride;
+        // Tag bit 0 moves the line to another slice.
+        EXPECT_TRUE(rejects(at + 0, 0x01)) << "live line tag, byte " << at;
+        // LRU stamp far above the saved tick.
+        EXPECT_TRUE(rejects(at + 15, 0x40)) << "live line lru, byte " << at;
+        // Flag bytes other than 0/1.
+        EXPECT_TRUE(rejects(at + 20, 0x02)) << "live line valid, byte " << at;
+        EXPECT_TRUE(rejects(at + 21, 0x80)) << "live line dirty, byte " << at;
+    }
+    // Any flip inside a dead line gives it state (or a live line with no
+    // LRU stamp, or a malformed flag).
+    for (std::size_t k = 0; k < 20; ++k) {
+        const std::size_t at = header + dead[k * dead.size() / 20] * stride;
+        for (std::size_t b = 0; b < stride; ++b)
+            for (const std::uint8_t mask : {std::uint8_t{0x01},
+                                            std::uint8_t{0x80}})
+                EXPECT_TRUE(rejects(at + b, mask))
+                    << "dead line byte " << b << " mask " << int{mask};
+    }
+    // Seeded random flips across the line section: every one that lands
+    // in a dead line is rejected.
+    std::size_t dead_hits = 0;
+    for (int k = 0; k < 200; ++k) {
+        const std::size_t byte = header + gen.next_below(nlines * stride);
+        if (line_valid((byte - header) / stride)) continue;
+        ++dead_hits;
+        EXPECT_TRUE(
+            rejects(byte, static_cast<std::uint8_t>(1u << gen.next_below(8))))
+            << "byte " << byte;
+    }
+    EXPECT_GT(dead_hits, 100u);
 }
 
 TEST(checkpoint, continuing_past_a_held_pause_lifts_the_hold) {

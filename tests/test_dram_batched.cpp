@@ -8,8 +8,10 @@
 // the per-line fallback inside access_burst performs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "common/snapshot_io.h"
@@ -107,6 +109,72 @@ std::vector<burst_op> random_ops(std::uint64_t seed, std::size_t count,
     return ops;
 }
 
+/// Drives `ops` through a batched and a per-line dram_system of geometry
+/// `cfg` and holds the batched side to the reference: completions,
+/// first-line completions, stats, snapshot bytes and — when `attributed`
+/// — the attributor's per-tenant components and interference matrix.
+void expect_equivalent_run(const dram_config& cfg,
+                           const std::vector<burst_op>& ops, bool attributed,
+                           const std::string& label) {
+    SCOPED_TRACE(label);
+    dram_system batched{cfg};
+    dram_system perline{cfg};
+    obs::latency_attributor attr_b, attr_p;
+    const char* tenants[3] = {"ta", "tb", "ta"};
+    if (attributed) {
+        batched.set_attribution(&attr_b);
+        perline.set_attribution(&attr_p);
+        for (task_id s = 0; s < 3; ++s) {
+            attr_b.on_dispatch(s, tenants[s]);
+            attr_p.on_dispatch(s, tenants[s]);
+            attr_b.on_inference_start(s, 0, 0);
+            attr_p.on_inference_start(s, 0, 0);
+        }
+    }
+    cycle_t horizon = 0;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        const burst_op& op = ops[i];
+        cycle_t first_b = 0, first_p = 0;
+        const cycle_t done_b = batched.access_burst(
+            op.addr, op.nlines, op.is_write, op.arrival, op.task, &first_b);
+        const cycle_t done_p = perline_burst(perline, op.addr, op.nlines,
+                                             op.is_write, op.arrival, op.task,
+                                             &first_p);
+        ASSERT_EQ(done_b, done_p) << "burst " << i;
+        ASSERT_EQ(first_b, first_p) << "burst " << i;
+        horizon = std::max(horizon, done_b);
+        // Give every slot span so the waterfall has stall to attribute.
+        if (attributed && op.task >= 0 && op.task < 3) {
+            const std::uint64_t span = done_b - op.arrival;
+            attr_b.on_layer_retired(op.task, span, span / 2);
+            attr_p.on_layer_retired(op.task, span, span / 2);
+        }
+    }
+    expect_stats_eq(batched.stats(), perline.stats());
+    EXPECT_EQ(snapshot_of(batched), snapshot_of(perline));
+    if (!attributed) return;
+    for (task_id s = 0; s < 3; ++s) {
+        attr_b.on_inference_end(s, horizon);
+        attr_p.on_inference_end(s, horizon);
+    }
+    ASSERT_EQ(attr_b.tenant_names(), attr_p.tenant_names());
+    const auto n = static_cast<std::uint32_t>(attr_b.tenant_names().size());
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const auto& tb = attr_b.tenants()[i];
+        const auto& tp = attr_p.tenants()[i];
+        EXPECT_EQ(tb.completed, tp.completed);
+        EXPECT_EQ(tb.latency_cycles, tp.latency_cycles);
+        for (std::size_t c = 0; c < 6; ++c)
+            EXPECT_EQ(obs::attribution_component(tb.comp, c),
+                      obs::attribution_component(tp.comp, c))
+                << "tenant " << i << " component "
+                << obs::attribution_component_names[c];
+        for (std::uint32_t j = 0; j < n; ++j)
+            EXPECT_EQ(attr_b.interference(i, j), attr_p.interference(i, j))
+                << "matrix (" << i << "," << j << ")";
+    }
+}
+
 TEST(dram_batched, randomized_bursts_match_perline_reference) {
     dram_system batched{dram_config{}};
     dram_system perline{dram_config{}};
@@ -159,67 +227,13 @@ TEST(dram_batched, regulator_budget_edges_match_perline_reference) {
 }
 
 TEST(dram_batched, attributed_bursts_match_perline_reference) {
-    dram_system batched{dram_config{}};
-    dram_system perline{dram_config{}};
-    obs::latency_attributor attr_b, attr_p;
-    batched.set_attribution(&attr_b);
-    perline.set_attribution(&attr_p);
-
     // Three active slots across two tenants, so bursts suffer both
     // self-inflicted and cross-tenant waits (the by-holder aggregation in
     // the batched paths must fold to the same per-tenant sums).
-    const char* tenants[3] = {"ta", "tb", "ta"};
-    for (task_id s = 0; s < 3; ++s) {
-        attr_b.on_dispatch(s, tenants[s]);
-        attr_p.on_dispatch(s, tenants[s]);
-        attr_b.on_inference_start(s, 0, 0);
-        attr_p.on_inference_start(s, 0, 0);
-    }
-
-    const auto ops = random_ops(/*seed=*/0x5eed0003, /*count=*/400,
-                                /*ntasks=*/3);
-    cycle_t horizon = 0;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        const burst_op& op = ops[i];
-        cycle_t first_b = 0, first_p = 0;
-        const cycle_t done_b = batched.access_burst(
-            op.addr, op.nlines, op.is_write, op.arrival, op.task, &first_b);
-        const cycle_t done_p = perline_burst(perline, op.addr, op.nlines,
-                                             op.is_write, op.arrival, op.task,
-                                             &first_p);
-        ASSERT_EQ(done_b, done_p) << "burst " << i;
-        ASSERT_EQ(first_b, first_p) << "burst " << i;
-        horizon = std::max(horizon, done_b);
-        // Give every slot span so the waterfall has stall to attribute.
-        if (op.task >= 0 && op.task < 3) {
-            const std::uint64_t span = done_b - op.arrival;
-            attr_b.on_layer_retired(op.task, span, span / 2);
-            attr_p.on_layer_retired(op.task, span, span / 2);
-        }
-    }
-    expect_stats_eq(batched.stats(), perline.stats());
-    EXPECT_EQ(snapshot_of(batched), snapshot_of(perline));
-
-    for (task_id s = 0; s < 3; ++s) {
-        attr_b.on_inference_end(s, horizon);
-        attr_p.on_inference_end(s, horizon);
-    }
-    ASSERT_EQ(attr_b.tenant_names(), attr_p.tenant_names());
-    const auto n = static_cast<std::uint32_t>(attr_b.tenant_names().size());
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const auto& tb = attr_b.tenants()[i];
-        const auto& tp = attr_p.tenants()[i];
-        EXPECT_EQ(tb.completed, tp.completed);
-        EXPECT_EQ(tb.latency_cycles, tp.latency_cycles);
-        for (std::size_t c = 0; c < 6; ++c)
-            EXPECT_EQ(obs::attribution_component(tb.comp, c),
-                      obs::attribution_component(tp.comp, c))
-                << "tenant " << i << " component "
-                << obs::attribution_component_names[c];
-        for (std::uint32_t j = 0; j < n; ++j)
-            EXPECT_EQ(attr_b.interference(i, j), attr_p.interference(i, j))
-                << "matrix (" << i << "," << j << ")";
-    }
+    expect_equivalent_run(dram_config{},
+                          random_ops(/*seed=*/0x5eed0003, /*count=*/400,
+                                     /*ntasks=*/3),
+                          /*attributed=*/true, "stock geometry");
 }
 
 TEST(dram_batched, tiny_boundary_widths_match_perline_reference) {
@@ -247,6 +261,57 @@ TEST(dram_batched, tiny_boundary_widths_match_perline_reference) {
         }
         expect_stats_eq(batched.stats(), perline.stats());
         EXPECT_EQ(snapshot_of(batched), snapshot_of(perline));
+    }
+}
+
+TEST(dram_batched, pow2_geometry_sweep_matches_perline_reference) {
+    // Every pow2 shape the closed-form kernel's shift/mask arithmetic must
+    // cover: segment lengths that are and are not multiples of the bank
+    // count, one- and many-bank rounds, row blocks from 64 to 8192 lines,
+    // one channel up to eight — plain and attributed.
+    std::uint64_t seed = 0x5eed1000;
+    for (std::uint32_t channels : {1u, 2u, 4u, 8u}) {
+        for (std::uint32_t banks : {4u, 8u, 16u, 32u}) {
+            for (std::uint64_t row_bytes : {1024u, 2048u, 8192u}) {
+                dram_config cfg;
+                cfg.channels = channels;
+                cfg.banks_per_channel = banks;
+                cfg.row_bytes = row_bytes;
+                const auto ops = random_ops(++seed, /*count=*/60,
+                                            /*ntasks=*/3);
+                for (bool attributed : {false, true})
+                    expect_equivalent_run(
+                        cfg, ops, attributed,
+                        std::to_string(channels) + "ch x " +
+                            std::to_string(banks) + "banks, row " +
+                            std::to_string(row_bytes) +
+                            (attributed ? ", attributed" : ", plain"));
+            }
+        }
+    }
+}
+
+TEST(dram_batched, command_bound_geometries_match_perline_reference) {
+    // tCCD so long that one bank's CAS cadence outruns the whole channel
+    // bus (D > nbanks*S): G rises along every bank chain, so the plain
+    // kernel's bus max comes from each chain's last visit, and the
+    // attributed path falls back to the per-line walk.
+    std::uint64_t seed = 0x5eed2000;
+    for (std::uint32_t channels : {1u, 4u}) {
+        for (std::uint32_t banks : {4u, 8u}) {
+            dram_config cfg;
+            cfg.channels = channels;
+            cfg.banks_per_channel = banks;
+            cfg.t_ccd = 40;
+            ASSERT_GT(cfg.t_ccd * 10, banks * cfg.burst_deci_cycles());
+            const auto ops = random_ops(++seed, /*count=*/60, /*ntasks=*/3);
+            for (bool attributed : {false, true})
+                expect_equivalent_run(
+                    cfg, ops, attributed,
+                    std::to_string(channels) + "ch x " +
+                        std::to_string(banks) + "banks" +
+                        (attributed ? ", attributed" : ", plain"));
+        }
     }
 }
 

@@ -312,8 +312,9 @@ TEST(engine_hotpath, repeated_transformer_layers_share_identical_tables) {
                 EXPECT_EQ(ta.lwm[c].est_cycles, tb.lwm[c].est_cycles);
             }
             EXPECT_EQ(ta.lbm.has_value(), tb.lbm.has_value());
-            if (ta.lbm && tb.lbm)
+            if (ta.lbm && tb.lbm) {
                 EXPECT_EQ(ta.lbm->est_cycles, tb.lbm->est_cycles);
+            }
         }
     }
     EXPECT_GT(repeats_checked, 0);  // transformer repeats must exist

@@ -61,7 +61,9 @@ TEST(segmentation, respects_budget) {
     const model m = tiny_chain({kib(64), kib(64), kib(64), kib(64)});
     const auto blocks = segment_layer_blocks(m, kib(100), 6);
     for (const auto& b : blocks) {
-        if (b.size() > 1) EXPECT_LE(b.peak_bytes, kib(100));
+        if (b.size() > 1) {
+            EXPECT_LE(b.peak_bytes, kib(100));
+        }
     }
 }
 

@@ -157,8 +157,9 @@ TEST_P(zoo_invariants, layers_are_well_formed) {
         EXPECT_GE(l.k, 1u) << l.name;
         EXPECT_GT(l.output_bytes, 0u) << l.name;
         EXPECT_GT(l.macs(), 0u) << l.name;
-        if (l.residual_from >= 0)
+        if (l.residual_from >= 0) {
             EXPECT_LT(static_cast<std::size_t>(l.residual_from), i) << l.name;
+        }
         EXPECT_LE(l.min_traffic_bytes(),
                   l.input_bytes + l.weight_bytes + 2 * l.output_bytes);
     }

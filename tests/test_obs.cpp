@@ -377,7 +377,9 @@ TEST(trace, export_is_valid_json_and_per_thread_ordered) {
         const auto& p = sorted[i - 1];
         const auto& e = sorted[i];
         const bool same_lane = p.pid == e.pid && p.tid == e.tid;
-        if (same_lane) EXPECT_LE(p.ts, e.ts) << "event " << i;
+        if (same_lane) {
+            EXPECT_LE(p.ts, e.ts) << "event " << i;
+        }
     }
 
     std::ostringstream out;
