@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "obs/attribution.h"
 
@@ -15,14 +16,64 @@ std::uint32_t log2_of(std::uint64_t v) {
     while ((std::uint64_t{1} << s) < v) ++s;
     return s;
 }
+
+// Recency orders pack one way index per nibble, MRU in nibble 0.
+constexpr std::uint64_t nibble_ones = 0x1111111111111111ull;
+constexpr std::uint64_t byte_ones = 0x0101010101010101ull;
+constexpr std::uint64_t byte_highs = 0x8080808080808080ull;
+constexpr std::uint64_t low_nibbles = 0x0F0F0F0F0F0F0F0Full;
+
+/// Moves `way` (present exactly once) to the MRU end of `order`.
+std::uint64_t touch(std::uint64_t order, std::uint32_t way) {
+    // Zero-nibble test on order ^ way: borrows only run upward, so the
+    // lowest flagged nibble is the true match.
+    const std::uint64_t x = order ^ (nibble_ones * way);
+    const std::uint64_t zero = (x - nibble_ones) & ~x & (nibble_ones << 3);
+    const unsigned at = static_cast<unsigned>(__builtin_ctzll(zero)) & ~3u;
+    const std::uint64_t below = order & ((std::uint64_t{1} << at) - 1);
+    const std::uint64_t above = order & ((~std::uint64_t{0} << at) << 4);
+    return above | (below << 4) | way;
+}
+
+/// The least-recent way in `order` whose index is below `limit` (1..16).
+/// Nibbles are split into even and odd bytes so each compares without a
+/// borrow: (x | 0x80) - limit keeps bit 7 exactly when x >= limit.
+std::uint32_t lru_below(std::uint64_t order, std::uint32_t limit) {
+    const auto below = [limit](std::uint64_t bytes) {
+        return ~((bytes | byte_highs) - byte_ones * limit) & byte_highs;
+    };
+    const std::uint64_t allowed =
+        (below(order & low_nibbles) >> 4) | below((order >> 4) & low_nibbles);
+    const unsigned at =
+        static_cast<unsigned>(63 - __builtin_clzll(allowed)) & ~3u;
+    return static_cast<std::uint32_t>((order >> at) & 0xF);
+}
+
+/// The recency order of a set whose `live` valid ways are `by_age`, MRU
+/// first: they lead, the invalid ways follow in index order (as in a set
+/// that never filled them), and 0xF pads the nibbles past `ways`.
+std::uint64_t recency_order(std::uint16_t valid, const std::uint32_t* by_age,
+                            std::uint32_t live, std::uint32_t ways) {
+    std::uint64_t order = ~std::uint64_t{0};
+    for (std::uint32_t w = ways; w-- > 0;)
+        if (((valid >> w) & 1u) == 0) order = (order << 4) | w;
+    for (std::uint32_t i = live; i-- > 0;) order = (order << 4) | by_age[i];
+    return order;
+}
+
+const cache_config& checked(const cache_config& config) {
+    if (config.ways == 0 || config.ways > shared_cache::max_ways)
+        throw std::invalid_argument(
+            "shared cache needs 1.." + std::to_string(shared_cache::max_ways) +
+            " ways, got " + std::to_string(config.ways));
+    return config;
+}
 }  // namespace
 
 shared_cache::shared_cache(const cache_config& config, dram::dram_system& dram)
-    : config_(config),
+    : config_(checked(config)),
       dram_(dram),
       sets_(config.sets_per_slice()),
-      transparent_ways_(config.ways),
-      lines_(static_cast<std::size_t>(config.slices) * sets_ * config.ways),
       slice_free_(config.slices, 0),
       pages_(config) {
     pow2_geometry_ = is_pow2(config_.slices) && is_pow2(sets_);
@@ -31,15 +82,26 @@ shared_cache::shared_cache(const cache_config& config, dram::dram_system& dram)
         slice_mask_ = config_.slices - 1;
         set_mask_ = sets_ - 1;
     }
+    std::fill(std::begin(empty_set_.tag), std::end(empty_set_.tag), no_tag);
+    std::fill(std::begin(empty_set_.owner), std::end(empty_set_.owner), no_task);
+    empty_set_.order = recency_order(0, nullptr, 0, config_.ways);
+    blocks_.assign(static_cast<std::size_t>(config_.slices) * sets_, empty_set_);
+    set_transparent_ways(config_.ways);
 }
 
 void shared_cache::set_transparent_ways(std::uint32_t ways) {
-    assert(ways >= 1 && ways <= config_.ways);
+    if (ways < 1 || ways > config_.ways)
+        throw std::invalid_argument("transparent ways must be in [1, " +
+                                    std::to_string(config_.ways) + "], got " +
+                                    std::to_string(ways));
     transparent_ways_ = ways;
+    transparent_mask_ = (std::uint32_t{1} << ways) - 1;
 }
 
-cycle_t shared_cache::occupy_slice(std::uint32_t slice, cycle_t arrival,
-                                   task_id task) {
+// occupy_slice and bump_task run on every transparent access; `inline`
+// lets the compiler fold them into that path instead of calling them.
+inline cycle_t shared_cache::occupy_slice(std::uint32_t slice, cycle_t arrival,
+                                          task_id task) {
     cycle_t start = std::max(arrival, slice_free_[slice]);
     if (attr_ != nullptr) {
         if (start > arrival)
@@ -103,7 +165,8 @@ void shared_cache::set_attribution(obs::latency_attributor* attr) {
     }
 }
 
-void shared_cache::bump_task(std::vector<std::uint64_t>& v, task_id task) {
+inline void shared_cache::bump_task(std::vector<std::uint64_t>& v,
+                                    task_id task) {
     if (task < 0) return;
     if (static_cast<std::size_t>(task) >= v.size()) v.resize(task + 1, 0);
     ++v[task];
@@ -113,63 +176,59 @@ access_result shared_cache::transparent_access(addr_t paddr, bool is_write,
                                                cycle_t arrival, task_id task) {
     const std::uint64_t line_id = paddr / line_bytes;
     const auto [slice, set] = locate(line_id);
+    set_block& b = blocks_[static_cast<std::size_t>(slice) * sets_ + set];
 
-    line_entry* chosen = nullptr;
-    line_entry* invalid_way = nullptr;
-    line_entry* lru_way = nullptr;
-    for (std::uint32_t w = 0; w < transparent_ways_; ++w) {
-        line_entry& e = lines_[entry_index(slice, set, w)];
-        if (e.valid && e.tag == line_id) {
-            chosen = &e;
-            break;
-        }
-        if (!e.valid) {
-            if (invalid_way == nullptr) invalid_way = &e;
-        } else if (lru_way == nullptr || e.lru < lru_way->lru) {
-            lru_way = &e;
-        }
-    }
+    std::uint32_t way = 0;
+    while (way < transparent_ways_ && b.tag[way] != line_id) ++way;
 
     const cycle_t service = occupy_slice(slice, arrival, task);
 
-    if (chosen != nullptr) {  // hit
+    if (way < transparent_ways_) {  // hit
         ++stats_.hits;
         bump_task(task_hits_, task);
         if (telemetry_) telemetry_->on_cache_access(task, true);
-        chosen->lru = ++lru_tick_;
-        if (is_write) chosen->dirty = true;
+        b.lru[way] = ++lru_tick_;
+        b.order = touch(b.order, way);
+        if (is_write) b.dirty |= static_cast<std::uint16_t>(1u << way);
         return access_result{true, service + config_.hit_latency};
     }
 
-    // Miss.
+    // Miss: the lowest invalid allowed way, else the least-recent one.
     ++stats_.misses;
     bump_task(task_misses_, task);
     if (telemetry_) telemetry_->on_cache_access(task, false);
-    line_entry& victim = invalid_way != nullptr ? *invalid_way : *lru_way;
+    const std::uint32_t free_ways = ~std::uint32_t{b.valid} & transparent_mask_;
+    way = free_ways != 0 ? static_cast<std::uint32_t>(__builtin_ctz(free_ways))
+                         : lru_below(b.order, transparent_ways_);
+    const auto bit = static_cast<std::uint16_t>(1u << way);
+    const bool was_valid = (b.valid & bit) != 0;
+    const task_id victim_owner = b.owner[way];
     if (attr_ != nullptr && !is_write) {
         // Blame the fill on whoever's line the requester lost: with an
         // invalid way free the miss is cold (self-inflicted); otherwise the
         // victim's owner displaced the requester's working set.
         const task_id holder =
-            victim.valid && victim.owner != task ? victim.owner : task;
+            was_valid && victim_owner != task ? victim_owner : task;
         attr_->on_cache_wait(task, holder, miss_penalty_cycles_);
     }
-    if (victim.valid) {
+    if (was_valid) {
         ++stats_.evictions;
-        if (victim.owner != task) ++stats_.inter_task_evictions;
-        if (victim.dirty) {
+        if (victim_owner != task) ++stats_.inter_task_evictions;
+        if ((b.dirty & bit) != 0) {
             ++stats_.writebacks;
             // Fire-and-forget writeback: occupies the DRAM bus but nobody
             // waits on it. Attributed to the data's owner.
-            dram_.access(victim.tag * line_bytes, /*is_write=*/true, service,
-                         victim.owner);
+            dram_.access(b.tag[way] * line_bytes, /*is_write=*/true, service,
+                         victim_owner);
         }
     }
-    victim.valid = true;
-    victim.tag = line_id;
-    victim.owner = task;
-    victim.lru = ++lru_tick_;
-    victim.dirty = is_write;
+    b.tag[way] = line_id;
+    b.owner[way] = task;
+    b.lru[way] = ++lru_tick_;
+    b.valid |= bit;
+    b.dirty = static_cast<std::uint16_t>(is_write ? b.dirty | bit
+                                                  : b.dirty & ~bit);
+    b.order = touch(b.order, way);
 
     if (is_write) {
         // NPU DMA writes full lines: write-validate, no fetch-on-write.
@@ -350,7 +409,7 @@ void shared_cache::reset_stats() {
 }
 
 void shared_cache::invalidate_all() {
-    for (auto& e : lines_) e = line_entry{};
+    std::fill(blocks_.begin(), blocks_.end(), empty_set_);
     std::fill(slice_free_.begin(), slice_free_.end(), 0);
     lru_tick_ = 0;
 }
@@ -407,7 +466,8 @@ void restore_counter_vec(snapshot_reader& r, std::vector<std::uint64_t>& v) {
 }  // namespace
 
 std::size_t shared_cache::state_bytes() const {
-    std::size_t n = 4 + 4 + 8 + 22 * lines_.size() + 8 + 8 * slice_free_.size() +
+    std::size_t n = 4 + 4 + 8 + 22 * blocks_.size() * config_.ways + 8 +
+                    8 * slice_free_.size() +
                     15 * 8 + 8 + 8 * task_hits_.size() + 8 +
                     8 * task_misses_.size() + pages_.state_bytes() + 8;
     for (const auto& table : cpts_)
@@ -417,15 +477,20 @@ std::size_t shared_cache::state_bytes() const {
 
 void shared_cache::save_state(snapshot_writer& w) const {
     w.reserve_more(state_bytes());
-    w.u32(static_cast<std::uint32_t>(lines_.size()));
+    w.u32(static_cast<std::uint32_t>(blocks_.size() * config_.ways));
     w.u32(transparent_ways_);
     w.u64(lru_tick_);
-    for (const auto& e : lines_) {
-        w.u64(e.tag);
-        w.u64(e.lru);
-        w.i32(e.owner);
-        w.b(e.valid);
-        w.b(e.dirty);
+    // 22 B per line in (slice, set, way) order; an invalid line is all 0
+    // with owner no_task.
+    for (const set_block& b : blocks_) {
+        for (std::uint32_t way = 0; way < config_.ways; ++way) {
+            const bool valid = (b.valid >> way) & 1u;
+            w.u64(valid ? b.tag[way] : 0);
+            w.u64(b.lru[way]);
+            w.i32(b.owner[way]);
+            w.b(valid);
+            w.b((b.dirty >> way) & 1u);
+        }
     }
     w.u64(slice_free_.size());
     for (const cycle_t c : slice_free_) w.u64(c);
@@ -449,20 +514,24 @@ void shared_cache::save_state(snapshot_writer& w) const {
 
 void shared_cache::restore_state(snapshot_reader& r) {
     const std::uint32_t nlines = r.u32();
-    if (nlines != lines_.size())
+    const std::size_t configured = blocks_.size() * config_.ways;
+    if (nlines != configured)
         throw snapshot_error("snapshot cache geometry mismatch: saved " +
                              std::to_string(nlines) + " lines, configured " +
-                             std::to_string(lines_.size()));
-    transparent_ways_ = r.u32();
-    if (transparent_ways_ < 1 || transparent_ways_ > config_.ways)
+                             std::to_string(configured));
+    const std::uint32_t ways = r.u32();
+    if (ways < 1 || ways > config_.ways)
         throw snapshot_error("snapshot transparent-way count out of range");
+    set_transparent_ways(ways);
     lru_tick_ = r.u64();
     // Semantic checks on every line, so a corrupt-but-well-formed snapshot
     // is rejected instead of resuming with lines the lookup can never find
     // or LRU stamps the next fill would collide with. Live lines carry a
-    // stamp in [1, lru_tick_] and sit where their tag decodes; the
-    // simulator never invalidates a single line, so a dead line is
-    // all-default.
+    // stamp in [1, lru_tick_] and a tag that is a line id (below 2^58, so
+    // never the invalid-way sentinel) decoding to their set, and no two
+    // live lines of a set share a tag or a stamp (every touch takes a
+    // fresh tick, so the stamps order the set); the simulator never
+    // invalidates a single line, so a dead line is all-default.
     const auto flag = [&r](const char* what) {
         const std::uint8_t v = r.u8();
         if (v > 1)
@@ -472,33 +541,55 @@ void shared_cache::restore_state(snapshot_reader& r) {
     };
     for (std::uint32_t slice = 0; slice < config_.slices; ++slice) {
         for (std::uint32_t set = 0; set < sets_; ++set) {
+            set_block& b = blocks_[static_cast<std::size_t>(slice) * sets_ + set];
+            b = empty_set_;
+            // Live ways by descending stamp (MRU first), built by insertion.
+            std::uint32_t by_age[max_ways] = {};
+            std::uint32_t live = 0;
             for (std::uint32_t way = 0; way < config_.ways; ++way) {
-                line_entry& e = lines_[entry_index(slice, set, way)];
-                e.tag = r.u64();
-                e.lru = r.u64();
-                e.owner = r.i32();
-                e.valid = flag("valid");
-                e.dirty = flag("dirty");
-                if (e.valid) {
-                    if (e.lru == 0 || e.lru > lru_tick_)
+                const std::uint64_t tag = r.u64();
+                const std::uint64_t lru = r.u64();
+                const task_id owner = r.i32();
+                const bool valid = flag("valid");
+                const bool dirty = flag("dirty");
+                if (!valid) {
+                    if (tag != 0 || lru != 0 || owner != no_task || dirty)
                         throw snapshot_error(
-                            "snapshot cache line LRU stamp " +
-                            std::to_string(e.lru) + " outside [1, " +
-                            std::to_string(lru_tick_) + "]");
-                    const slice_set home = locate(e.tag);
-                    if (home.slice != slice || home.set != set)
-                        throw snapshot_error(
-                            "snapshot cache line tag " +
-                            std::to_string(e.tag) +
-                            " does not belong to slice " +
-                            std::to_string(slice) + " set " +
-                            std::to_string(set));
-                } else if (e.tag != 0 || e.lru != 0 || e.owner != no_task ||
-                           e.dirty) {
-                    throw snapshot_error(
-                        "snapshot cache holds an invalid line with state");
+                            "snapshot cache holds an invalid line with state");
+                    continue;
                 }
+                if (lru == 0 || lru > lru_tick_)
+                    throw snapshot_error("snapshot cache line LRU stamp " +
+                                         std::to_string(lru) + " outside [1, " +
+                                         std::to_string(lru_tick_) + "]");
+                const slice_set home = locate(tag);
+                if (tag > no_tag / line_bytes || home.slice != slice ||
+                    home.set != set)
+                    throw snapshot_error("snapshot cache line tag " +
+                                         std::to_string(tag) +
+                                         " does not belong to slice " +
+                                         std::to_string(slice) + " set " +
+                                         std::to_string(set));
+                for (std::uint32_t i = 0; i < live; ++i)
+                    if (b.tag[by_age[i]] == tag)
+                        throw snapshot_error("snapshot cache set holds tag " +
+                                             std::to_string(tag) + " twice");
+                std::uint32_t at = live++;
+                for (; at > 0 && b.lru[by_age[at - 1]] <= lru; --at) {
+                    if (b.lru[by_age[at - 1]] == lru)
+                        throw snapshot_error("snapshot cache set holds LRU stamp " +
+                                             std::to_string(lru) + " twice");
+                    by_age[at] = by_age[at - 1];
+                }
+                by_age[at] = way;
+                const auto bit = static_cast<std::uint16_t>(1u << way);
+                b.tag[way] = tag;
+                b.lru[way] = lru;
+                b.owner[way] = owner;
+                b.valid |= bit;
+                if (dirty) b.dirty |= bit;
             }
+            b.order = recency_order(b.valid, by_age, live, config_.ways);
         }
     }
     const std::uint64_t nslices = r.count(8);

@@ -73,6 +73,11 @@ struct access_result {
 
 class shared_cache {
 public:
+    /// Most ways a cache may have: each transparent set packs its recency
+    /// order one way index per 4-bit nibble into a u64.
+    static constexpr std::uint32_t max_ways = 16;
+
+    /// Throws std::invalid_argument when config.ways is 0 or above max_ways.
     shared_cache(const cache_config& config, dram::dram_system& dram);
 
     const cache_config& config() const { return config_; }
@@ -81,7 +86,8 @@ public:
 
     /// Number of ways the transparent path may allocate into. Baselines run
     /// unpartitioned (== config.ways); CaMDN policies restrict the
-    /// transparent path to config.cpu_ways().
+    /// transparent path to config.cpu_ways(). Throws std::invalid_argument
+    /// outside [1, config.ways].
     void set_transparent_ways(std::uint32_t ways);
     std::uint32_t transparent_ways() const { return transparent_ways_; }
 
@@ -157,7 +163,9 @@ public:
     /// (absolute cycles; the resumed run continues the same clock),
     /// cumulative stats, per-task hit/miss counters, the page pool and
     /// every live CPT. restore_state throws snapshot_error on a geometry
-    /// mismatch.
+    /// mismatch or on line state the simulator never writes (see the
+    /// checks in restore_state), and rebuilds each set's recency order
+    /// from the saved LRU stamps.
     void save_state(snapshot_writer& w) const;
     void restore_state(snapshot_reader& r);
     /// Exact number of bytes save_state appends (the writer's size hint:
@@ -165,18 +173,24 @@ public:
     std::size_t state_bytes() const;
 
 private:
-    struct line_entry {
-        std::uint64_t tag = 0;  // full line id, so the victim address is known
-        std::uint64_t lru = 0;
-        task_id owner = no_task;
-        bool valid = false;
-        bool dirty = false;
-    };
+    /// Tag of an invalid way: line ids are paddr / 64, so no access ever
+    /// compares equal to it and the hit scan needs no valid test.
+    static constexpr std::uint64_t no_tag = ~std::uint64_t{0};
 
-    std::size_t entry_index(std::uint32_t slice, std::uint32_t set,
-                            std::uint32_t way) const {
-        return (static_cast<std::size_t>(slice) * sets_ + set) * config_.ways + way;
-    }
+    /// One transparent set. `order` lists the ways from MRU (low nibble)
+    /// to LRU, so the victim is read off it rather than searched for;
+    /// among valid ways it is exactly the order of their LRU stamps, since
+    /// every touch takes a fresh tick. Nibbles past config.ways hold 0xF.
+    /// Stamps and owners are written on every touch but read only on an
+    /// eviction or a save.
+    struct set_block {
+        std::uint64_t tag[max_ways];
+        std::uint64_t order;
+        std::uint16_t valid;  // way bitmasks
+        std::uint16_t dirty;
+        std::uint64_t lru[max_ways];
+        task_id owner[max_ways];
+    };
 
     /// Transparent placement of a line id: its slice and its set within
     /// that slice.
@@ -209,6 +223,7 @@ private:
     dram::dram_system& dram_;
     std::uint32_t sets_ = 0;
     std::uint32_t transparent_ways_ = 0;
+    std::uint32_t transparent_mask_ = 0;  // low transparent_ways_ bits
     // Transparent lookup decodes slice/set once per line on the hot path,
     // and NEC bursts stripe over the slices; power-of-two geometries
     // (every stock config) use shift/mask, which yields the same quotients
@@ -217,7 +232,8 @@ private:
     std::uint32_t slice_shift_ = 0;
     std::uint64_t slice_mask_ = 0;
     std::uint64_t set_mask_ = 0;
-    std::vector<line_entry> lines_;
+    set_block empty_set_{};  // the all-invalid set invalidate_all restores
+    std::vector<set_block> blocks_;  // slice-major, then set
     std::vector<cycle_t> slice_free_;
     std::uint64_t lru_tick_ = 0;
 

@@ -2,6 +2,8 @@
 // shared cache, including way masking and contention bookkeeping.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "cache/shared_cache.h"
 #include "dram/dram_system.h"
 
@@ -60,6 +62,33 @@ TEST(transparent, way_mask_restricts_associativity) {
     EXPECT_EQ(r.cache.stats().evictions, 1u);
     // The first line (LRU among the four) is gone.
     EXPECT_FALSE(r.cache.transparent_access(set0_line(r.cfg, 0), false, 0, 0).hit);
+}
+
+TEST(transparent, way_counts_outside_the_cache_are_rejected) {
+    rig r;
+    EXPECT_THROW(r.cache.set_transparent_ways(0), std::invalid_argument);
+    EXPECT_THROW(r.cache.set_transparent_ways(r.cfg.ways + 1),
+                 std::invalid_argument);
+    EXPECT_EQ(r.cache.transparent_ways(), r.cfg.ways);  // left unchanged
+    r.cache.set_transparent_ways(1);
+    EXPECT_EQ(r.cache.transparent_ways(), 1u);
+}
+
+TEST(transparent, constructor_rejects_zero_or_more_than_16_ways) {
+    dram::dram_system dram{dram::dram_config{}};
+    for (const std::uint32_t ways : {0u, 17u, 32u}) {
+        cache_config cfg;
+        cfg.ways = ways;
+        cfg.npu_ways = 0;
+        EXPECT_THROW(shared_cache(cfg, dram), std::invalid_argument)
+            << ways << " ways";
+    }
+    for (const std::uint32_t ways : {1u, 16u}) {
+        cache_config cfg;
+        cfg.ways = ways;
+        cfg.npu_ways = 0;
+        EXPECT_NO_THROW(shared_cache(cfg, dram)) << ways << " ways";
+    }
 }
 
 TEST(transparent, write_miss_does_not_fetch_from_dram) {

@@ -571,6 +571,59 @@ TEST(checkpoint, cache_restore_rejects_flipped_line_bytes) {
     EXPECT_GT(dead_hits, 100u);
 }
 
+TEST(checkpoint, cache_restore_rejects_duplicate_tags_and_stamps) {
+    // Two live ways of one set never share a tag or an LRU stamp: every
+    // fill misses first and every touch takes a fresh tick. A snapshot
+    // claiming either is rejected — duplicate stamps would also leave the
+    // rebuilt recency order ambiguous.
+    dram::dram_system dram{dram::dram_config{}};
+    cache::cache_config cc;
+    cc.total_bytes = mib(1);
+    cache::shared_cache warm{cc, dram};
+    // Fill (slice 0, set 0) — the first `ways` lines of the snapshot.
+    const addr_t set_stride =
+        static_cast<addr_t>(cc.slices) * cc.sets_per_slice() * line_bytes;
+    for (std::uint32_t i = 0; i < cc.ways; ++i)
+        warm.transparent_access(i * set_stride, i % 2 == 1, i, 0);
+    snapshot_writer w;
+    warm.save_state(w);
+    const std::vector<std::uint8_t> good = w.take();
+
+    // u32 line count, u32 ways, u64 tick, then 22 B lines: tag at +0,
+    // stamp at +8.
+    constexpr std::size_t header = 16, stride = 22;
+    const auto restores = [&](const std::vector<std::uint8_t>& bytes) {
+        cache::shared_cache fresh{cc, dram};
+        snapshot_reader r(bytes);
+        try {
+            fresh.restore_state(r);
+        } catch (const snapshot_error&) {
+            return false;
+        }
+        return true;
+    };
+    ASSERT_TRUE(restores(good));
+    const auto copy_field = [&](std::size_t from, std::size_t to,
+                                std::size_t offset) {
+        auto bad = good;
+        std::copy_n(good.begin() + header + from * stride + offset, 8,
+                    bad.begin() + header + to * stride + offset);
+        return bad;
+    };
+    for (const auto& [from, to] : {std::pair<std::size_t, std::size_t>{0, 1},
+                                  {5, 2}, {15, 14}, {3, 12}}) {
+        EXPECT_FALSE(restores(copy_field(from, to, 0)))
+            << "way " << to << " repeats way " << from << "'s tag";
+        EXPECT_FALSE(restores(copy_field(from, to, 8)))
+            << "way " << to << " repeats way " << from << "'s stamp";
+    }
+    // A tag at or above 2^58 is no line id (paddr / 64), yet its low bits
+    // still decode to this set; it could alias the invalid-way sentinel.
+    auto high_tag = good;
+    high_tag[header + 3 * stride + 7] |= 0x04;  // + 2^58
+    EXPECT_FALSE(restores(high_tag));
+}
+
 TEST(checkpoint, continuing_past_a_held_pause_lifts_the_hold) {
     // After a hold-dispatch pause, run() on the same scheduler must lift
     // the hold and dispatch the carried backlog — not finalize with the
