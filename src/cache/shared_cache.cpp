@@ -132,6 +132,11 @@ cycle_t shared_cache::occupy_striped(std::uint32_t start_slice,
         start_mod = start_slice % slices;
     }
     cycle_t done = arrival;
+    // Slice waits fold by holder into one hook call per run of equal
+    // holders (usually one per burst): the attributor accumulates
+    // commutative per-(victim, holder) sums, so folding is bit-identical.
+    task_id held_by = no_task;
+    cycle_t held_wait = 0;
     for (std::uint32_t s = 0; s < slices; ++s) {
         // s + slices - start_mod is in [1, 2*slices), so one conditional
         // subtract replaces the modulo.
@@ -141,14 +146,22 @@ cycle_t shared_cache::occupy_striped(std::uint32_t start_slice,
         if (n == 0) continue;
         const cycle_t start = std::max(arrival, slice_free_[s]);
         if (attr_ != nullptr) {
-            if (start > arrival)
-                attr_->on_cache_wait(task, slice_user_[s], start - arrival);
+            if (start > arrival) {
+                if (slice_user_[s] != held_by) {
+                    if (held_wait > 0)
+                        attr_->on_cache_wait(task, held_by, held_wait);
+                    held_by = slice_user_[s];
+                    held_wait = 0;
+                }
+                held_wait += start - arrival;
+            }
             slice_user_[s] = task;
         }
         slice_free_[s] = start + n;
         stats_.slice_busy_cycles += n;
         done = std::max(done, slice_free_[s]);
     }
+    if (held_wait > 0) attr_->on_cache_wait(task, held_by, held_wait);
     return done;
 }
 

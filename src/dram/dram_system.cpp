@@ -7,8 +7,6 @@
 namespace camdn::dram {
 
 namespace {
-constexpr std::uint64_t deci = 10;  // deci-cycles per cycle
-
 bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
 std::uint32_t log2_of(std::uint64_t v) {
@@ -40,6 +38,14 @@ void dram_system::precompute_decode() {
     }
     data_slot_deci_ = config_.burst_deci_cycles() + config_.t_burst_gap * deci;
     controller_deci_ = config_.t_controller * deci;
+    for (std::uint64_t r = 0; r < deci; ++r) {
+        std::uint64_t sum = 0;
+        for (std::uint64_t j = 0; j < deci; ++j) {
+            bus_round_up_[r][j] = sum;
+            sum += (deci - (r + j * data_slot_deci_) % deci) % deci;
+        }
+        bus_round_up_[r][deci] = sum;
+    }
 }
 
 dram_system::decoded dram_system::decode(addr_t line_addr) const {
@@ -188,21 +194,6 @@ bool dram_system::regulate_bulk(task_id task, cycle_t arrival,
     return true;
 }
 
-namespace {
-/// Exact sum of ceil((w1 + i*b) / deci) for i = 1..n. When the step is a
-/// whole number of cycles the ceil distributes; otherwise the tail is
-/// short (visits per segment are bounded by lines_per_row) and a direct
-/// loop stays exact for any geometry.
-std::uint64_t ceil_ap_sum(std::uint64_t w1, std::uint64_t b, std::uint64_t n) {
-    if (n == 0) return 0;
-    if (b % deci == 0)
-        return n * ((w1 + deci - 1) / deci) + (b / deci) * (n * (n + 1) / 2);
-    std::uint64_t s = 0;
-    for (std::uint64_t i = 1; i <= n; ++i) s += (w1 + i * b + deci - 1) / deci;
-    return s;
-}
-}  // namespace
-
 template <bool Attr>
 cycle_t dram_system::burst_closed_form(addr_t line_addr, std::uint64_t nlines,
                                        cycle_t arrival, task_id task,
@@ -224,18 +215,29 @@ cycle_t dram_system::burst_closed_form(addr_t line_addr, std::uint64_t nlines,
     // largest G is its first visit's, plus (n_t - 1) of those steps when
     // they are positive: O(banks) per segment instead of O(lines).
     //
-    // With Attr the waits are charged as well. After a resource's first
-    // use in the burst its holder is `task` itself, so almost every wait
-    // is a self-charge; self-charges fold into one hook call per channel,
-    // and foreign-holder waits (only a resource's first touch can produce
-    // one) fold by holder the same way — the attributor accumulates
-    // commutative per-(victim, holder) sums, so the folding is
-    // bit-identical. Bank-chain waits are arithmetic progressions with
-    // step tCCD. The attributed form requires D <= nbanks*S, so no later
-    // visit raises the bus prefix max: after the first visits it stays at
-    // M = gmax, and bank t's later bus waits are ceil((M - G0_t + v*B) /
-    // deci) for v = 1..n_t-1 with B = nbanks*S - D, also summed in closed
-    // form.
+    // With Attr the waits are charged as well, in deci-cycles summed over
+    // the burst and divided once. A line's bank wait (start - arrival)
+    // plus its bus wait (data_start - cmd_done, rounded up) telescope to
+    //   ceil(data_start(j)) - arrival - tCL - row_switch(j),
+    // and two invariants make the sum exact without a division per line:
+    //   * every bank horizon is a whole cycle (arrival*deci plus whole
+    //     tRCD/tRP/tCL/tCCD terms; restore_state rejects anything else),
+    //     so every bank wait and every cmd_done is a whole cycle too;
+    //   * hence G(j) = -j*S (mod deci): while the prefix max M stays put,
+    //     data_start(j) = M + j*S rounds up by a function of M's residue
+    //     and of j*S mod deci only, and a line that raises M starts on a
+    //     whole cycle. Each run of lines behind one M therefore rounds up
+    //     by a closed-form prefix sum (bus_round_up_, one period of j).
+    // The attributed form requires D <= nbanks*S, so no later visit raises
+    // the bus prefix max: past the first visits M stays at gmax, and the
+    // later visits' data_start sum is closed form too. The loop's only
+    // attributed work is thus the running sum of M and the holder check.
+    // After a resource's first use in the burst its holder is `task`
+    // itself, so only first touches can wait behind another task: their
+    // waits move from the self sum to that holder. Waits fold into one
+    // hook call per run of equal holders (usually one per holder per
+    // burst) — the attributor accumulates commutative per-(victim,
+    // holder) sums, so the folding is bit-identical.
     //
     // Everything the loops read from *this is copied into locals first,
     // and the row stats are counted in locals and committed once: the
@@ -262,12 +264,25 @@ cycle_t dram_system::burst_closed_form(addr_t line_addr, std::uint64_t nlines,
                                0);
     bank_state* const banks = banks_.data();
     std::uint64_t* const bus_free = bus_free_.data();
-    if constexpr (Attr) {
-        if (attr_g0_.size() < nbanks) attr_g0_.resize(nbanks);
-    }
-    std::int64_t* const g0s = Attr ? attr_g0_.data() : nullptr;
     task_id* const bus_users = Attr ? bus_user_.data() : nullptr;
     std::uint64_t hits = 0, empties = 0, misses = 0;
+    // Attributed waits in deci-cycles: every line's wait summed as if
+    // self-inflicted (modulo 2^64 until the burst's last term lands), the
+    // pending foreign holder with its folded wait, and the foreign waits
+    // already charged — both come off the self sum at the end.
+    std::uint64_t self_wait = 0;
+    task_id fh = no_task;
+    std::uint64_t fw = 0;
+    std::uint64_t charged = 0;
+    const auto foreign = [&](task_id holder, std::uint64_t w) {
+        if (holder != fh) {
+            if (fw > 0) attr_->on_dram_wait(task, fh, fw / deci);
+            charged += fw;
+            fh = holder;
+            fw = 0;
+        }
+        fw += w;
+    };
 
     cycle_t done = arrival;
     const std::uint64_t touched = std::min<std::uint64_t>(config_.channels,
@@ -283,18 +298,6 @@ cycle_t dram_system::burst_closed_form(addr_t line_addr, std::uint64_t nlines,
         task_id* const cbank_users =
             Attr ? bank_user_.data() + static_cast<std::size_t>(c) * nbanks
                  : nullptr;
-        std::uint64_t self_wait = 0;
-        task_id fh = no_task;  // pending foreign holder and its folded wait
-        std::uint64_t fw = 0;
-        const auto foreign = [&](task_id holder, std::uint64_t w) {
-            if (holder == fh) {
-                fw += w;
-                return;
-            }
-            if (fw > 0) attr_->on_dram_wait(task, fh, fw);
-            fh = holder;
-            fw = w;
-        };
         bool first_segment = true;
         while (remaining > 0) {
             const std::uint64_t len =
@@ -305,6 +308,12 @@ cycle_t dram_system::burst_closed_form(addr_t line_addr, std::uint64_t nlines,
             const std::uint64_t visit_rem = len & bank_mask;
             const std::uint64_t visited = visit_base > 0 ? nbanks : visit_rem;
             std::int64_t gmax = static_cast<std::int64_t>(bus);
+            // Attr: the sum of the prefix max over first visits, and the
+            // current run behind one max: its first line and the residue
+            // of its data_start.
+            std::uint64_t gmax_sum = 0;
+            std::uint64_t run_start = 0;
+            std::uint64_t run_res = Attr ? bus % deci : 0;
             // First visits, in bus (j) order. Banks t < visit_rem take one
             // visit more than the rest, so each of the two runs has a
             // fixed visit count and chain length.
@@ -340,53 +349,33 @@ cycle_t dram_system::burst_closed_form(addr_t line_addr, std::uint64_t nlines,
                         static_cast<std::int64_t>(start0 + extra + tcl) -
                         static_cast<std::int64_t>(t * S);
                     if constexpr (Attr) {
-                        if (start0 > arrival_deci) {
-                            const std::uint64_t w =
-                                (start0 - arrival_deci + deci - 1) / deci;
-                            if (cbank_users[b] == task) self_wait += w;
-                            else foreign(cbank_users[b], w);
-                        }
+                        const task_id holder = cbank_users[b];
                         cbank_users[b] = task;
-                        // Visit v >= 1 starts (start0 + extra + D -
-                        // arrival) + (v-1)*D after arrival, always a wait,
-                        // on the bank `task` now holds.
-                        if (visits >= 2) {
-                            const std::uint64_t k =
-                                (start0 + extra + D - arrival_deci + deci -
-                                 1) /
-                                deci;
-                            self_wait += (visits - 1) * k +
-                                         D / deci * ((visits - 1) *
-                                                     (visits - 2) / 2);
+                        if (holder != task && start0 > arrival_deci)
+                            foreign(holder, start0 - arrival_deci);
+                        if (g0 > gmax) {
+                            self_wait +=
+                                round_up_prefix(run_res, t - run_start);
+                            run_start = t;
+                            run_res = 0;
+                            gmax = g0;
                         }
-                        // Bus wait of line j = t: M(j) - G(j).
-                        const bool bus_first = first_segment && t == 0;
-                        if (gmax > g0) {
-                            const std::uint64_t w =
-                                (static_cast<std::uint64_t>(gmax - g0) +
-                                 deci - 1) /
-                                deci;
-                            if (bus_first && bus_users[c] != task)
-                                foreign(bus_users[c], w);
-                            else
-                                self_wait += w;
-                        }
-                        if (bus_first) bus_users[c] = task;
-                        g0s[t] = g0;
+                        gmax_sum += static_cast<std::uint64_t>(gmax);
+                    } else {
+                        gmax = std::max(gmax, g0 + lift);
                     }
-                    gmax = std::max(gmax, g0 + lift);
                 }
             }
             if constexpr (Attr) {
-                if (visit_base > 0) {
-                    const std::uint64_t B = nbanks * S - D;
-                    for (std::uint64_t t = 0; t < nbanks; ++t)
-                        self_wait += ceil_ap_sum(
-                            static_cast<std::uint64_t>(gmax - g0s[t]), B,
-                            visit_base - 1 + (t < visit_rem ? 1 : 0));
-                }
+                // Sum of data_start(j) over the segment: the first visits'
+                // prefix maxes, gmax for every later visit, plus j*S; and
+                // the last run's round-up, later visits included.
+                const auto top = static_cast<std::uint64_t>(gmax);
+                self_wait += gmax_sum + (len - visited) * top +
+                             S * (len * (len - 1) / 2) +
+                             round_up_prefix(run_res, len - run_start);
             }
-            if (first_segment && i0 == 0 && first_done != nullptr) {
+            if (first_segment && (Attr || (i0 == 0 && first_done != nullptr))) {
                 // Line 0 is its bank's first visit: the bank's new ready
                 // horizon is that visit's start + row switch + n_0 chain
                 // steps, and its command completes tCL after the start +
@@ -394,7 +383,18 @@ cycle_t dram_system::burst_closed_form(addr_t line_addr, std::uint64_t nlines,
                 const std::uint64_t n0 = visit_base + (visit_rem > 0 ? 1 : 0);
                 const std::uint64_t cmd0 =
                     cbanks[u & bank_mask].ready_deci - n0 * D + tcl;
-                *first_done = (std::max(bus, cmd0) + S + ctrl + deci - 1) / deci;
+                if (i0 == 0 && first_done != nullptr)
+                    *first_done =
+                        (std::max(bus, cmd0) + S + ctrl + deci - 1) / deci;
+                if constexpr (Attr) {
+                    // Only line 0 can wait behind another task on the bus;
+                    // charge its rounded-up bus wait to that holder.
+                    const task_id holder = bus_users[c];
+                    if (holder != task && bus > cmd0)
+                        foreign(holder,
+                                bus - cmd0 + (deci - bus % deci) % deci);
+                    bus_users[c] = task;
+                }
             }
             // Last line's data_end = (len-1)*S + max(P, max G) + S; the bus
             // occupies S deci-cycles per line regardless of waits.
@@ -403,16 +403,18 @@ cycle_t dram_system::burst_closed_form(addr_t line_addr, std::uint64_t nlines,
             remaining -= len;
             first_segment = false;
         }
-        if constexpr (Attr) {
-            if (fw > 0) attr_->on_dram_wait(task, fh, fw);
-            if (self_wait > 0) attr_->on_dram_wait(task, task, self_wait);
-        }
         bus_free[c] = bus;
         // data_start is strictly increasing along a channel, so the
         // channel's slowest line is its last; done = ceil of its data_end
         // plus the controller hop.
         const cycle_t chan_done = (bus + ctrl + deci - 1) / deci;
         if (chan_done > done) done = chan_done;
+    }
+    if constexpr (Attr) {
+        self_wait -= nlines * (arrival_deci + tcl) + empties * empty_extra +
+                     misses * miss_extra + charged + fw;
+        if (fw > 0) attr_->on_dram_wait(task, fh, fw / deci);
+        if (self_wait > 0) attr_->on_dram_wait(task, task, self_wait / deci);
     }
     stats_.row_hits += hits;
     stats_.row_empties += empties;
@@ -718,9 +720,20 @@ void dram_system::restore_state(snapshot_reader& r) {
         throw snapshot_error("snapshot DRAM bank-count mismatch: saved " +
                              std::to_string(nbanks) + ", configured " +
                              std::to_string(banks_.size()));
+    // The timing model never writes a row below -1 (precharged) or a bank
+    // horizon off a whole cycle, and the attributed burst kernel relies on
+    // the latter; set_task_share clamps shares into [0, 1], and regulation
+    // spends budget a whole line at a time.
     for (auto& b : banks_) {
         b.open_row = r.i64();
         b.ready_deci = r.u64();
+        if (b.open_row < -1)
+            throw snapshot_error("snapshot DRAM bank open row " +
+                                 std::to_string(b.open_row) + " below -1");
+        if (b.ready_deci % deci != 0)
+            throw snapshot_error("snapshot DRAM bank horizon " +
+                                 std::to_string(b.ready_deci) +
+                                 " deci-cycles is not a whole cycle");
     }
     const std::uint64_t nchan = r.count(8);
     if (nchan != bus_free_.size())
@@ -732,6 +745,14 @@ void dram_system::restore_state(snapshot_reader& r) {
         reg.share = r.d();
         reg.epoch_start = r.u64();
         reg.bytes_used = r.u64();
+        if (!(reg.share >= 0.0 && reg.share <= 1.0))
+            throw snapshot_error("snapshot DRAM regulator share " +
+                                 std::to_string(reg.share) +
+                                 " outside [0, 1]");
+        if (reg.bytes_used % line_bytes != 0)
+            throw snapshot_error("snapshot DRAM regulator bytes_used " +
+                                 std::to_string(reg.bytes_used) +
+                                 " is not a whole number of lines");
     }
     const std::uint64_t ntask = r.count(8);
     per_task_bytes_.assign(ntask, 0);

@@ -13,6 +13,7 @@
 // requests are pushed to the next epoch boundary.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -113,6 +114,8 @@ public:
     }
 
 private:
+    static constexpr std::uint64_t deci = 10;  // deci-cycles per cycle
+
     struct bank_state {
         std::int64_t open_row = -1;   // -1: no open row (precharged)
         std::uint64_t ready_deci = 0; // earliest next command, deci-cycles
@@ -157,18 +160,18 @@ private:
     /// applied as shifts and masks only. Bit-identical results and state
     /// updates to the per-line loop.
     ///
-    /// With `Attr` the kernel also feeds the attributor, in closed form:
-    /// within a burst every resource's holder is `task` itself after its
-    /// first use, so per-line waits fold into per-channel self-charge sums
-    /// (the attributor accumulates commutative sums keyed by (victim,
-    /// holder tenant) — aggregating equal-key calls is bit-identical).
-    /// Bank-chain waits are arithmetic progressions with step tCCD (exact,
-    /// since the chain step D = tCCD*deci is a whole number of cycles);
-    /// bus waits come from the same prefix-max G structure: the first
-    /// visits are walked explicitly, and each bank's later waits form an
-    /// arithmetic progression. The attributed form requires D <= nbanks*S
-    /// (no later visit can then raise the prefix max); the rare
-    /// command-bound geometry takes burst_attr_perline instead.
+    /// With `Attr` the kernel also feeds the attributor, with no division
+    /// per line: a line's bank wait plus its rounded-up bus wait telescope
+    /// to ceil(data_start) - arrival - tCL - row switch, and because every
+    /// bank horizon is a whole cycle, the round-ups of a run of lines
+    /// behind one bus max are a closed-form prefix sum (bus_round_up_).
+    /// Per first visit the loop adds the running bus max and checks the
+    /// bank's holder; later visits cost O(1) per segment. Waits fold into
+    /// one hook call per (burst, holder); the attributor accumulates
+    /// commutative sums keyed by (victim, holder tenant), so folding is
+    /// bit-identical. The attributed form requires D <= nbanks*S (no later
+    /// visit can then raise the prefix max); the rare command-bound
+    /// geometry takes burst_attr_perline instead.
     template <bool Attr>
     cycle_t burst_closed_form(addr_t line_addr, std::uint64_t nlines,
                               cycle_t arrival, task_id task,
@@ -202,10 +205,6 @@ private:
     dram_config config_;
     std::vector<bank_state> banks_;        // channel * banks + bank
     std::vector<std::uint64_t> bus_free_;  // per channel, deci-cycles
-    /// Attributed closed-form per-segment scratch: each touched bank's
-    /// first-visit G value. A member so steady-state bursts allocate
-    /// nothing.
-    std::vector<std::int64_t> attr_g0_;
     std::vector<regulator_state> regulators_;     // indexed by task id
     std::vector<std::uint64_t> per_task_bytes_;   // indexed by task id
     dram_stats stats_;
@@ -227,6 +226,15 @@ private:
     std::uint32_t row_shift_ = 0;
     std::uint64_t data_slot_deci_ = 0;  // burst occupancy + burst gap
     std::uint64_t controller_deci_ = 0;
+    /// bus_round_up_[r][n]: sum over j < n of (-(r + j*S)) mod deci, the
+    /// round-ups of data_start = x + j*S over a run of lines behind one
+    /// bus max, where x is the run's first data_start and r = x mod deci.
+    /// The terms have period deci in j, so n <= deci covers every length.
+    std::array<std::array<std::uint64_t, deci + 1>, deci> bus_round_up_{};
+
+    std::uint64_t round_up_prefix(std::uint64_t r, std::uint64_t n) const {
+        return n / deci * bus_round_up_[r][deci] + bus_round_up_[r][n % deci];
+    }
 };
 
 }  // namespace camdn::dram

@@ -32,22 +32,10 @@ std::uint32_t latency_attributor::intern_tenant(const std::string& abbr) {
     return idx;
 }
 
-latency_attributor::slot_state* latency_attributor::state_of(task_id slot) {
-    if (slot < 0) return nullptr;
-    const auto s = static_cast<std::size_t>(slot);
-    if (s >= slots_.size()) return nullptr;
-    return &slots_[s];
-}
-
-std::uint32_t latency_attributor::holder_tenant(const slot_state& victim,
-                                                task_id holder) {
-    const slot_state* h = state_of(holder);
-    return (h != nullptr && h->active) ? h->tenant : victim.tenant;
-}
-
-void latency_attributor::charge(std::vector<std::uint64_t>& by,
-                                std::uint32_t tenant, std::uint64_t cycles) {
-    if (by.size() <= tenant) by.resize(names_.size(), 0);
+void latency_attributor::grow_and_charge(std::vector<std::uint64_t>& by,
+                                         std::uint32_t tenant,
+                                         std::uint64_t cycles) {
+    by.resize(names_.size(), 0);
     by[tenant] += cycles;
 }
 
@@ -114,22 +102,6 @@ void latency_attributor::on_layer_retired(task_id slot, std::uint64_t span,
     if (st == nullptr || !st->active) return;
     st->span += span;
     st->compute += compute < span ? compute : span;
-}
-
-void latency_attributor::on_dram_wait(task_id victim, task_id holder,
-                                      std::uint64_t cycles) {
-    slot_state* st = state_of(victim);
-    if (st == nullptr || !st->active || cycles == 0) return;
-    st->dram_raw += cycles;
-    charge(st->dram_by, holder_tenant(*st, holder), cycles);
-}
-
-void latency_attributor::on_cache_wait(task_id victim, task_id holder,
-                                       std::uint64_t cycles) {
-    slot_state* st = state_of(victim);
-    if (st == nullptr || !st->active || cycles == 0) return;
-    st->cache_raw += cycles;
-    charge(st->cache_by, holder_tenant(*st, holder), cycles);
 }
 
 void latency_attributor::on_dma_window_wait(task_id slot,

@@ -149,11 +149,22 @@ public:
                           std::uint64_t compute);
     /// Raw DRAM wait (bank busy, bus busy or regulation throttle) of
     /// `cycles` suffered by `victim` behind `holder` (no_task / self =
-    /// self-inflicted).
-    void on_dram_wait(task_id victim, task_id holder, std::uint64_t cycles);
+    /// self-inflicted). Inline, as is on_cache_wait: both are called from
+    /// the DRAM and cache models' hottest paths.
+    void on_dram_wait(task_id victim, task_id holder, std::uint64_t cycles) {
+        slot_state* st = state_of(victim);
+        if (st == nullptr || !st->active || cycles == 0) return;
+        st->dram_raw += cycles;
+        charge(st->dram_by, holder_tenant(*st, holder), cycles);
+    }
     /// Raw shared-cache wait (slice occupancy or transparent-miss fill)
     /// suffered by `victim` behind `holder`.
-    void on_cache_wait(task_id victim, task_id holder, std::uint64_t cycles);
+    void on_cache_wait(task_id victim, task_id holder, std::uint64_t cycles) {
+        slot_state* st = state_of(victim);
+        if (st == nullptr || !st->active || cycles == 0) return;
+        st->cache_raw += cycles;
+        charge(st->cache_by, holder_tenant(*st, holder), cycles);
+    }
     /// Diagnostic only (not one of the six components): cycles a DMA
     /// flight spent gated on its in-flight window.
     void on_dma_window_wait(task_id slot, std::uint64_t cycles);
@@ -214,10 +225,25 @@ private:
         std::vector<std::uint64_t> cache_by;
     };
 
-    slot_state* state_of(task_id slot);
-    std::uint32_t holder_tenant(const slot_state& victim, task_id holder);
+    /// The slot's state, or nullptr for no_task and unknown slots (a
+    /// negative id wraps past the end).
+    slot_state* state_of(task_id slot) {
+        const auto s = static_cast<std::size_t>(slot);
+        return s < slots_.size() ? &slots_[s] : nullptr;
+    }
+    /// The tenant to blame for `holder`: its own while it is active,
+    /// otherwise the victim's (self-inflicted).
+    std::uint32_t holder_tenant(const slot_state& victim, task_id holder) {
+        const slot_state* h = state_of(holder);
+        return (h != nullptr && h->active) ? h->tenant : victim.tenant;
+    }
     void charge(std::vector<std::uint64_t>& by, std::uint32_t tenant,
-                std::uint64_t cycles);
+                std::uint64_t cycles) {
+        if (tenant < by.size()) by[tenant] += cycles;
+        else grow_and_charge(by, tenant, cycles);
+    }
+    void grow_and_charge(std::vector<std::uint64_t>& by, std::uint32_t tenant,
+                         std::uint64_t cycles);
     std::uint64_t& matrix_at(std::uint32_t i, std::uint32_t j);
 
     bool keep_records_ = true;

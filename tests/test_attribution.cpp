@@ -8,6 +8,8 @@
 //     fleet fold (absorb across rounds and SoCs);
 //   * zero-overhead-off — an attribution-attached run is bit-identical
 //     (results AND snapshot bytes) to a bare run;
+//   * goldens — pinned per-tenant components and interference rows, which
+//     the identities above cannot pin;
 //   * exporters — metrics keys and the JSONL row carry the totals.
 #include <gtest/gtest.h>
 
@@ -303,6 +305,64 @@ TEST(attribution, snapshot_bytes_are_bit_identical_with_attr_attached) {
     ASSERT_TRUE(attributed.run_segment(boundary));
 
     EXPECT_EQ(bare.save().encode(), attributed.save().encode());
+}
+
+// ---- goldens -------------------------------------------------------------
+
+/// One tenant's pinned attribution: completions, the six components in
+/// struct order, and its interference row in tenant order.
+struct tenant_golden {
+    const char* name;
+    std::uint64_t completed;
+    std::uint64_t comp[6];
+    std::uint64_t row[2];
+};
+
+/// The component and row-sum identities hold whatever the raw waits are,
+/// so they cannot see a DRAM or cache hook that charges the wrong number
+/// of cycles. The per-holder split of each interference row is scaled
+/// from the raw per-holder waits, so it can. These values were recorded
+/// from the per-line-equivalent kernels; a change to the simulated timing
+/// or to the hook accounting must re-record them on purpose.
+void expect_attribution_golden(sim::experiment_config cfg,
+                               const tenant_golden (&golden)[2]) {
+    obs::latency_attributor attr;
+    cfg.obs.attr = &attr;
+    sim::run_experiment(cfg);
+    ASSERT_EQ(attr.tenants().size(), 2u);
+    for (std::uint32_t i = 0; i < 2; ++i) {
+        SCOPED_TRACE(golden[i].name);
+        ASSERT_EQ(attr.tenant_names()[i], golden[i].name);
+        const auto& t = attr.tenants()[i];
+        EXPECT_EQ(t.completed, golden[i].completed);
+        for (std::size_t c = 0; c < 6; ++c)
+            EXPECT_EQ(obs::attribution_component(t.comp, c), golden[i].comp[c])
+                << obs::attribution_component_names[c];
+        for (std::uint32_t j = 0; j < 2; ++j)
+            EXPECT_EQ(attr.interference(i, j), golden[i].row[j])
+                << "holder " << attr.tenant_names()[j];
+        EXPECT_EQ(attr.interference_row_sum(i),
+                  golden[i].row[0] + golden[i].row[1]);
+    }
+}
+
+TEST(attribution, poisson_camdn_full_matches_golden) {
+    auto cfg = base_cfg(sim::policy::camdn_full);
+    cfg.kind = runtime::workload_kind::open_loop_poisson;
+    cfg.arrival_rate_per_ms = 1.2;
+    cfg.total_arrivals = 16;
+    cfg.admission_queue_limit = 8;
+    expect_attribution_golden(
+        cfg,
+        {{"MB.", 7, {806947, 0, 0, 601922, 0, 1090992}, {593777, 8145}},
+         {"RS.", 9, {44015, 0, 0, 2207187, 0, 11642652}, {1310, 2205877}}});
+}
+
+TEST(attribution, closed_loop_moca_matches_golden) {
+    expect_attribution_golden(
+        base_cfg(sim::policy::moca),
+        {{"RS.", 7, {0, 0, 0, 4467233, 0, 10010980}, {4350317, 116916}},
+         {"MB.", 5, {0, 0, 0, 1128524, 0, 779280}, {322172, 806352}}});
 }
 
 // ---- exporters ---------------------------------------------------------

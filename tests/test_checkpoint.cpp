@@ -22,6 +22,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -622,6 +624,90 @@ TEST(checkpoint, cache_restore_rejects_duplicate_tags_and_stamps) {
     auto high_tag = good;
     high_tag[header + 3 * stride + 7] |= 0x04;  // + 2^58
     EXPECT_FALSE(restores(high_tag));
+}
+
+TEST(checkpoint, dram_restore_rejects_state_the_model_never_writes) {
+    // A warm DRAM with regulated and unregulated traffic, so every
+    // section (banks, buses, regulators) carries live values.
+    const dram::dram_config dc;
+    dram::dram_system warm{dc};
+    warm.set_task_share(0, 0.25);
+    warm.set_task_share(1, 1.0);
+    rng gen(0xd7a3);
+    for (int i = 0; i < 200; ++i)
+        warm.access_burst(gen.next_below(1 << 20) * line_bytes,
+                          1 + gen.next_below(100), i % 3 == 0,
+                          static_cast<cycle_t>(i * 40),
+                          static_cast<task_id>(i % 3));
+    snapshot_writer w;
+    warm.save_state(w);
+    const std::vector<std::uint8_t> good = w.take();
+
+    // Layout: u64 bank count, 16 B per bank (i64 open row, u64 ready
+    // deci-cycles), u64 channel count, 8 B per channel, u64 regulator
+    // count, 24 B per regulator (f64 share, u64 epoch start, u64 bytes).
+    const std::size_t nbanks =
+        static_cast<std::size_t>(dc.channels) * dc.banks_per_channel;
+    const std::size_t bank0 = 8;
+    const std::size_t reg0 = bank0 + 16 * nbanks + 8 + 8 * dc.channels + 8;
+    const auto put = [](std::vector<std::uint8_t>& bytes, std::size_t at,
+                        std::uint64_t v) {
+        for (int b = 0; b < 8; ++b)
+            bytes[at + b] = static_cast<std::uint8_t>(v >> (8 * b));
+    };
+    const auto get = [&](std::size_t at) {
+        std::uint64_t v = 0;
+        for (int b = 0; b < 8; ++b)
+            v |= static_cast<std::uint64_t>(good[at + b]) << (8 * b);
+        return v;
+    };
+    const auto with_u64 = [&](std::size_t at, std::uint64_t v) {
+        auto bad = good;
+        put(bad, at, v);
+        return bad;
+    };
+    const auto with_share = [&](std::size_t reg, double share) {
+        std::uint64_t bits;
+        std::memcpy(&bits, &share, sizeof bits);
+        return with_u64(reg0 + 24 * reg, bits);
+    };
+    dram::dram_system target{dc};
+    const auto restores = [&](const std::vector<std::uint8_t>& bytes) {
+        snapshot_reader r(bytes);
+        try {
+            target.restore_state(r);
+        } catch (const snapshot_error&) {
+            return false;
+        }
+        return true;
+    };
+    ASSERT_GE(get(reg0 + 16), line_bytes);  // task 0 has spent budget
+
+    // Open rows below -1 (precharged) are never written.
+    EXPECT_FALSE(restores(with_u64(bank0 + 16 * 3, ~std::uint64_t{1})));
+    EXPECT_FALSE(restores(with_u64(bank0 + 16 * 7, std::uint64_t{1} << 63)));
+    // Bank horizons are whole cycles.
+    for (const std::uint64_t off : {1u, 5u, 9u})
+        EXPECT_FALSE(restores(with_u64(bank0 + 16 * 5 + 8,
+                                       get(bank0 + 16 * 5 + 8) + off)))
+            << "ready_deci + " << off;
+    // Regulator shares in [0, 1]; NaN is no share.
+    EXPECT_FALSE(restores(with_share(0, std::nan(""))));
+    EXPECT_FALSE(restores(with_share(0, 1.5)));
+    EXPECT_FALSE(restores(with_share(1, -0.25)));
+    // Budget is spent a whole line at a time.
+    EXPECT_FALSE(restores(with_u64(reg0 + 16, get(reg0 + 16) + 1)));
+    EXPECT_FALSE(restores(with_u64(reg0 + 16, get(reg0 + 16) + 32)));
+
+    // The edges of each range still load, and so does the original.
+    EXPECT_TRUE(restores(with_u64(bank0 + 16 * 3, ~std::uint64_t{0})));
+    EXPECT_TRUE(restores(with_share(0, 0.0)));
+    EXPECT_TRUE(restores(with_share(1, 1.0)));
+    EXPECT_TRUE(restores(with_u64(reg0 + 16, get(reg0 + 16) + line_bytes)));
+    ASSERT_TRUE(restores(good));
+    snapshot_writer again;
+    target.save_state(again);
+    EXPECT_EQ(again.bytes(), good);
 }
 
 TEST(checkpoint, continuing_past_a_held_pause_lifts_the_hold) {
