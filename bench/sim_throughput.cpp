@@ -4,7 +4,10 @@
 // Poisson, multi-SoC fleet) and reports, per scenario: simulated cycles,
 // executed events, wall time, events/sec and simulated Mcycles/sec.
 // Mapping (the offline phase) is warmed before the timer starts, so the
-// numbers measure the event engine + machine model, not the mapper.
+// numbers measure the event engine + machine model, not the mapper. Each
+// scenario also runs with the observability stack attached; its bare and
+// observed repetitions alternate, so the reported overhead compares runs
+// made under the same host load.
 //
 // Output rides the CAMDN_BENCH_JSON reporter (schema 2); each row carries
 // a "phase" tag (CAMDN_BENCH_PHASE, default "dev") so the committed
@@ -68,40 +71,57 @@ double now_ms() {
         .count();
 }
 
-/// Runs `body` `reps` times; returns (best wall ms, result of last run).
-/// The repeated runs double as a determinism check: every repetition must
-/// report identical simulated cycles and event counts.
+/// Runs `body` once as repetition `r` of `m`: keeps the best wall time and
+/// rep 0's simulated cycles and events. The repeated runs double as a
+/// determinism check: every repetition must report identical simulated
+/// cycles and event counts.
 template <typename Fn>
-measurement time_scenario(const std::string& name, std::uint32_t reps,
-                          Fn body) {
-    measurement m;
-    m.scenario = name;
-    m.reps = reps;
-    for (std::uint32_t r = 0; r < reps; ++r) {
-        const double t0 = now_ms();
-        const auto [cycles, events] = body();
-        const double wall = now_ms() - t0;
-        if (r == 0) {
-            m.sim_cycles = cycles;
-            m.events = events;
-            m.wall_ms = wall;
-        } else {
-            if (cycles != m.sim_cycles || events != m.events) {
-                std::fprintf(stderr,
-                             "sim_throughput: %s is nondeterministic "
-                             "(rep %u: %llu cycles / %llu events, rep 0: "
-                             "%llu / %llu)\n",
-                             name.c_str(), r,
-                             static_cast<unsigned long long>(cycles),
-                             static_cast<unsigned long long>(events),
-                             static_cast<unsigned long long>(m.sim_cycles),
-                             static_cast<unsigned long long>(m.events));
-                std::exit(2);
-            }
-            m.wall_ms = std::min(m.wall_ms, wall);
-        }
+void time_rep(measurement& m, std::uint32_t r, Fn& body) {
+    const double t0 = now_ms();
+    const auto [cycles, events] = body();
+    const double wall = now_ms() - t0;
+    if (r == 0) {
+        m.sim_cycles = cycles;
+        m.events = events;
+        m.wall_ms = wall;
+        return;
     }
-    return m;
+    if (cycles != m.sim_cycles || events != m.events) {
+        std::fprintf(stderr,
+                     "sim_throughput: %s is nondeterministic "
+                     "(rep %u: %llu cycles / %llu events, rep 0: "
+                     "%llu / %llu)\n",
+                     m.scenario.c_str(), r,
+                     static_cast<unsigned long long>(cycles),
+                     static_cast<unsigned long long>(events),
+                     static_cast<unsigned long long>(m.sim_cycles),
+                     static_cast<unsigned long long>(m.events));
+        std::exit(2);
+    }
+    m.wall_ms = std::min(m.wall_ms, wall);
+}
+
+/// One scenario timed bare and with the observability stack attached.
+struct scenario_pair {
+    measurement bare;
+    measurement observed;
+};
+
+/// Times `bare` and `observed` `reps` times each, alternating them within
+/// every repetition, so drift in host load (a shared machine) lands on both
+/// sides alike instead of on whichever side ran later; each side keeps its
+/// best wall time.
+template <typename Bare, typename Observed>
+scenario_pair time_interleaved(const std::string& name, std::uint32_t reps,
+                               Bare bare, Observed observed) {
+    scenario_pair p;
+    p.bare.scenario = p.observed.scenario = name;
+    p.bare.reps = p.observed.reps = reps;
+    for (std::uint32_t r = 0; r < reps; ++r) {
+        time_rep(p.bare, r, bare);
+        time_rep(p.observed, r, observed);
+    }
+    return p;
 }
 
 sim::experiment_config base_experiment() {
@@ -114,15 +134,13 @@ sim::experiment_config base_experiment() {
     return cfg;
 }
 
-/// Runs one single-SoC scenario, optionally with the full observability
-/// stack attached (trace recorder with chunk events, metrics registry,
-/// epoch JSONL sink, host profiler, latency attributor) — the obs_on
-/// timed body also pays for serializing the trace, metrics and
+/// The timed body of one single-SoC scenario, optionally with the full
+/// observability stack attached (trace recorder with chunk events, metrics
+/// registry, epoch JSONL sink, host profiler, latency attributor) — the
+/// obs_on body also pays for serializing the trace, metrics and
 /// attribution row, since a real observed run does.
-measurement run_experiment_scenario(const std::string& name,
-                                    sim::experiment_config cfg,
-                                    std::uint32_t reps, bool obs_on) {
-    return time_scenario(name, reps, [&cfg, obs_on]() {
+auto experiment_body(sim::experiment_config cfg, bool obs_on) {
+    return [cfg, obs_on]() mutable {
         // Bounded trace: the long scenarios overflow any cap — the
         // recorder counts what it drops — so a quarter-million events
         // bounds record/export/serialize cost without losing information
@@ -180,7 +198,15 @@ measurement run_experiment_scenario(const std::string& name,
             cfg.obs = {};
         }
         return std::make_pair(res.makespan, res.events_executed);
-    });
+    };
+}
+
+/// Times one single-SoC scenario bare and observed (interleaved).
+scenario_pair run_experiment_scenario(const std::string& name,
+                                      const sim::experiment_config& cfg,
+                                      std::uint32_t reps) {
+    return time_interleaved(name, reps, experiment_body(cfg, false),
+                            experiment_body(cfg, true));
 }
 
 sim::experiment_config closed_loop_config(bool fast) {
@@ -199,7 +225,8 @@ sim::experiment_config poisson_config(bool fast) {
     return cfg;
 }
 
-measurement run_fleet(bool fast, std::uint32_t reps, bool obs_on = false) {
+/// The timed body of the fleet scenario, optionally observed.
+auto fleet_body(bool fast, bool obs_on) {
     serve::cluster_config cfg = serve::uniform_cluster(4);
     cfg.arrival_rate_per_ms = 8.0;
     cfg.total_arrivals = fast ? 128 : 640;
@@ -220,10 +247,16 @@ measurement run_fleet(bool fast, std::uint32_t reps, bool obs_on = false) {
         // the timeline shape at a fraction of the record/fold cost.
         cfg.trace_flight_sample_every = 8;
     }
-    return time_scenario("fleet", reps, [&cfg]() {
+    return [cfg]() {
         const auto res = serve::run_cluster(cfg);
         return std::make_pair(res.makespan, res.events_executed);
-    });
+    };
+}
+
+/// Times the fleet scenario bare and observed (interleaved).
+scenario_pair run_fleet(bool fast, std::uint32_t reps) {
+    return time_interleaved("fleet", reps, fleet_body(fast, false),
+                            fleet_body(fast, true));
 }
 
 // ---- committed-baseline comparison ---------------------------------------
@@ -358,13 +391,19 @@ int main(int argc, char** argv) {
         for (const auto* m : bench::zoo()) sim::mapping_for(*m, soc.mapper());
     }
 
-    std::vector<measurement> results;
-    results.push_back(
-        run_experiment_scenario("closed_loop", closed_loop_config(fast), reps,
-                                false));
-    results.push_back(
-        run_experiment_scenario("poisson", poisson_config(fast), reps, false));
-    results.push_back(run_fleet(fast, reps));
+    // Each scenario runs bare and observed in alternation (see
+    // time_interleaved); the bare rows print first, as before.
+    std::vector<scenario_pair> pairs;
+    pairs.push_back(
+        run_experiment_scenario("closed_loop", closed_loop_config(fast), reps));
+    pairs.push_back(
+        run_experiment_scenario("poisson", poisson_config(fast), reps));
+    pairs.push_back(run_fleet(fast, reps));
+    std::vector<measurement> results, obs_results;
+    for (const auto& p : pairs) {
+        results.push_back(p.bare);
+        obs_results.push_back(p.observed);
+    }
 
     std::printf("%-12s %14s %12s %10s %14s %12s\n", "scenario", "sim_cycles",
                 "events", "wall_ms", "events/s", "Mcycles/s");
@@ -385,18 +424,11 @@ int main(int argc, char** argv) {
     }
 
     // ---- observability overhead: obs_off vs obs_on per scenario ----
-    // obs_off is the measurement above (no observer attached); obs_on
-    // re-runs the same deterministic scenario with the full stack (trace
-    // with per-chunk events, metrics, epoch JSONL, profiler) plus export
-    // serialization. The determinism check inside time_scenario doubles as
-    // the observation-only guarantee: cycles/events must match exactly.
-    std::vector<measurement> obs_results;
-    obs_results.push_back(
-        run_experiment_scenario("closed_loop", closed_loop_config(fast), reps,
-                                true));
-    obs_results.push_back(
-        run_experiment_scenario("poisson", poisson_config(fast), reps, true));
-    obs_results.push_back(run_fleet(fast, reps, true));
+    // obs_off is the bare measurement above (no observer attached); obs_on
+    // is the same deterministic scenario with the full stack (trace with
+    // per-chunk events, metrics, epoch JSONL, profiler) plus export
+    // serialization, timed in alternation with it. Cycles/events must
+    // match the bare run exactly: the observation-only guarantee.
 
     std::printf("\n%-12s %14s %14s %12s\n", "scenario", "off ev/s", "on ev/s",
                 "overhead %");

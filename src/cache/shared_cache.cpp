@@ -85,7 +85,6 @@ shared_cache::shared_cache(const cache_config& config, dram::dram_system& dram)
     std::fill(std::begin(empty_set_.tag), std::end(empty_set_.tag), no_tag);
     std::fill(std::begin(empty_set_.owner), std::end(empty_set_.owner), no_task);
     empty_set_.order = recency_order(0, nullptr, 0, config_.ways);
-    blocks_.assign(static_cast<std::size_t>(config_.slices) * sets_, empty_set_);
     set_transparent_ways(config_.ways);
 }
 
@@ -187,6 +186,12 @@ inline void shared_cache::bump_task(std::vector<std::uint64_t>& v,
 
 access_result shared_cache::transparent_access(addr_t paddr, bool is_write,
                                                cycle_t arrival, task_id task) {
+    if (blocks_.empty()) allocate_store();
+    return access_line(paddr, is_write, arrival, task);
+}
+
+inline access_result shared_cache::access_line(addr_t paddr, bool is_write,
+                                               cycle_t arrival, task_id task) {
     const std::uint64_t line_id = paddr / line_bytes;
     const auto [slice, set] = locate(line_id);
     set_block& b = blocks_[static_cast<std::size_t>(slice) * sets_ + set];
@@ -257,12 +262,12 @@ access_result shared_cache::transparent_access(addr_t paddr, bool is_write,
 cycle_t shared_cache::transparent_burst(addr_t paddr, std::uint64_t nlines,
                                         bool is_write, cycle_t arrival,
                                         task_id task) {
+    if (blocks_.empty()) allocate_store();
     cycle_t done = arrival;
     for (std::uint64_t i = 0; i < nlines; ++i) {
         done = std::max(
             done,
-            transparent_access(paddr + i * line_bytes, is_write, arrival, task)
-                .done);
+            access_line(paddr + i * line_bytes, is_write, arrival, task).done);
     }
     return done;
 }
@@ -476,13 +481,33 @@ void restore_counter_vec(snapshot_reader& r, std::vector<std::uint64_t>& v) {
     for (auto& x : v) x = r.u64();
 }
 
+/// One transparent line: tag, LRU stamp, owner, valid and dirty flags.
+constexpr std::size_t line_state_bytes = 22;
+
+/// The encoding of a set with no live line: every way all-default (tag 0,
+/// stamp 0, owner no_task, both flags 0). Lines fill into invalid ways and
+/// only invalidate_all drops them, so a set whose valid mask is 0 is
+/// always exactly this.
+std::vector<std::uint8_t> dead_set_bytes(std::uint32_t ways) {
+    snapshot_writer w;
+    w.reserve_more(line_state_bytes * ways);
+    for (std::uint32_t way = 0; way < ways; ++way) {
+        w.u64(0);
+        w.u64(0);
+        w.i32(no_task);
+        w.b(false);
+        w.b(false);
+    }
+    return w.take();
+}
+
 }  // namespace
 
 std::size_t shared_cache::state_bytes() const {
-    std::size_t n = 4 + 4 + 8 + 22 * blocks_.size() * config_.ways + 8 +
-                    8 * slice_free_.size() +
-                    15 * 8 + 8 + 8 * task_hits_.size() + 8 +
-                    8 * task_misses_.size() + pages_.state_bytes() + 8;
+    std::size_t n = 4 + 4 + 8 + line_state_bytes * set_count() * config_.ways +
+                    8 + 8 * slice_free_.size() + 15 * 8 + 8 +
+                    8 * task_hits_.size() + 8 + 8 * task_misses_.size() +
+                    pages_.state_bytes() + 8;
     for (const auto& table : cpts_)
         if (table) n += 4 + table->state_bytes();
     return n;
@@ -490,12 +515,19 @@ std::size_t shared_cache::state_bytes() const {
 
 void shared_cache::save_state(snapshot_writer& w) const {
     w.reserve_more(state_bytes());
-    w.u32(static_cast<std::uint32_t>(blocks_.size() * config_.ways));
+    w.u32(static_cast<std::uint32_t>(set_count() * config_.ways));
     w.u32(transparent_ways_);
     w.u64(lru_tick_);
     // 22 B per line in (slice, set, way) order; an invalid line is all 0
-    // with owner no_task.
-    for (const set_block& b : blocks_) {
+    // with owner no_task. Sets without a live line (all of them while the
+    // store is unallocated) are the dead pattern, copied whole.
+    const std::vector<std::uint8_t> dead = dead_set_bytes(config_.ways);
+    for (std::size_t i = 0; i < set_count(); ++i) {
+        if (blocks_.empty() || blocks_[i].valid == 0) {
+            w.raw(dead.data(), dead.size());
+            continue;
+        }
+        const set_block& b = blocks_[i];
         for (std::uint32_t way = 0; way < config_.ways; ++way) {
             const bool valid = (b.valid >> way) & 1u;
             w.u64(valid ? b.tag[way] : 0);
@@ -527,7 +559,7 @@ void shared_cache::save_state(snapshot_writer& w) const {
 
 void shared_cache::restore_state(snapshot_reader& r) {
     const std::uint32_t nlines = r.u32();
-    const std::size_t configured = blocks_.size() * config_.ways;
+    const std::size_t configured = set_count() * config_.ways;
     if (nlines != configured)
         throw snapshot_error("snapshot cache geometry mismatch: saved " +
                              std::to_string(nlines) + " lines, configured " +
@@ -544,7 +576,12 @@ void shared_cache::restore_state(snapshot_reader& r) {
     // never the invalid-way sentinel) decoding to their set, and no two
     // live lines of a set share a tag or a stamp (every touch takes a
     // fresh tick, so the stamps order the set); the simulator never
-    // invalidates a single line, so a dead line is all-default.
+    // invalidates a single line, so a dead line is all-default. A set that
+    // matches the dead pattern whole is skipped; anything else takes the
+    // checked per-line path. The store starts unallocated and is allocated
+    // (every set invalid) at the first set with live state.
+    const std::vector<std::uint8_t> dead = dead_set_bytes(config_.ways);
+    blocks_ = {};
     const auto flag = [&r](const char* what) {
         const std::uint8_t v = r.u8();
         if (v > 1)
@@ -554,8 +591,9 @@ void shared_cache::restore_state(snapshot_reader& r) {
     };
     for (std::uint32_t slice = 0; slice < config_.slices; ++slice) {
         for (std::uint32_t set = 0; set < sets_; ++set) {
+            if (r.consume_if_equal(dead.data(), dead.size())) continue;
+            if (blocks_.empty()) allocate_store();
             set_block& b = blocks_[static_cast<std::size_t>(slice) * sets_ + set];
-            b = empty_set_;
             // Live ways by descending stamp (MRU first), built by insertion.
             std::uint32_t by_age[max_ways] = {};
             std::uint32_t live = 0;

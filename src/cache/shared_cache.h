@@ -27,6 +27,7 @@
 #include "cache/cache_config.h"
 #include "cache/cpt.h"
 #include "cache/page_allocator.h"
+#include "common/os_page_allocator.h"
 #include "common/types.h"
 #include "dram/dram_system.h"
 
@@ -92,6 +93,11 @@ public:
     std::uint32_t transparent_ways() const { return transparent_ways_; }
 
     // ---- Transparent path ----
+    //
+    // The tag store is allocated on the first transparent access (or on
+    // restoring a snapshot with a live line), never on construction:
+    // under a CaMDN policy the transparent ways serve CPU traffic the
+    // simulator never generates, so their store would stay empty.
 
     access_result transparent_access(addr_t paddr, bool is_write,
                                      cycle_t arrival, task_id task);
@@ -99,6 +105,9 @@ public:
     /// Accesses `nlines` consecutive lines; returns completion of the last.
     cycle_t transparent_burst(addr_t paddr, std::uint64_t nlines, bool is_write,
                               cycle_t arrival, task_id task);
+
+    /// Whether the transparent tag store has been allocated.
+    bool transparent_store_allocated() const { return !blocks_.empty(); }
 
     /// Per-task transparent hit/miss counts (Fig 2's hit-rate metric).
     std::uint64_t task_hits(task_id task) const;
@@ -159,7 +168,9 @@ public:
     void invalidate_all();
 
     /// Checkpoint support: serializes / restores the full warm state —
-    /// transparent lines with their LRU order, slice busy horizons
+    /// transparent lines with their LRU order (every configured line, live
+    /// or not; a set with no live line is one fixed byte pattern, written
+    /// and matched in one copy), slice busy horizons
     /// (absolute cycles; the resumed run continues the same clock),
     /// cumulative stats, per-task hit/miss counters, the page pool and
     /// every live CPT. restore_state throws snapshot_error on a geometry
@@ -191,6 +202,18 @@ private:
         std::uint64_t lru[max_ways];
         task_id owner[max_ways];
     };
+
+    /// Transparent sets in the configured geometry (the tag store's size
+    /// once allocated).
+    std::size_t set_count() const {
+        return static_cast<std::size_t>(config_.slices) * sets_;
+    }
+    /// Allocates the tag store with every set invalid.
+    void allocate_store() { blocks_.assign(set_count(), empty_set_); }
+
+    /// One transparent access on an allocated store.
+    access_result access_line(addr_t paddr, bool is_write, cycle_t arrival,
+                              task_id task);
 
     /// Transparent placement of a line id: its slice and its set within
     /// that slice.
@@ -233,7 +256,10 @@ private:
     std::uint64_t slice_mask_ = 0;
     std::uint64_t set_mask_ = 0;
     set_block empty_set_{};  // the all-invalid set invalidate_all restores
-    std::vector<set_block> blocks_;  // slice-major, then set
+    // Slice-major, then set; empty until used. Mapped from the OS so that a
+    // store's pages are resident only while some cache holds it, whichever
+    // thread built it.
+    std::vector<set_block, os_page_allocator<set_block>> blocks_;
     std::vector<cycle_t> slice_free_;
     std::uint64_t lru_tick_ = 0;
 

@@ -50,13 +50,22 @@ public:
 
     void str(const std::string& s) {
         u64(s.size());
-        put_raw(s.data(), s.size());
+        raw(s.data(), s.size());
     }
 
     /// Length-prefixed opaque blob (nested subsystem sections).
     void blob(const std::vector<std::uint8_t>& bytes) {
         u64(bytes.size());
-        put_raw(bytes.data(), bytes.size());
+        raw(bytes.data(), bytes.size());
+    }
+
+    /// Appends `n` bytes verbatim: a caller that has a section's encoding
+    /// at hand (the cache's dead-set pattern) writes it in one copy.
+    void raw(const void* data, std::size_t n) {
+        if (n == 0) return;
+        if (buf_.size() - size_ < n) grow(n);
+        std::memcpy(buf_.data() + size_, data, n);
+        size_ += n;
     }
 
     /// Size hint: makes room for `n` more bytes in one exact allocation,
@@ -92,13 +101,6 @@ private:
         for (int i = 0; i < N; ++i)
             p[i] = static_cast<std::uint8_t>(v >> (8 * i));
         size_ += N;
-    }
-
-    void put_raw(const void* data, std::size_t n) {
-        if (n == 0) return;
-        if (buf_.size() - size_ < n) grow(n);
-        std::memcpy(buf_.data() + size_, data, n);
-        size_ += n;
     }
 
     /// Fills the allocation first, then regrows geometrically.
@@ -165,6 +167,17 @@ public:
                 " elements does not fit in the remaining " +
                 std::to_string(remaining()) + " bytes");
         return n;
+    }
+
+    /// Consumes the next `n` bytes when they equal `expected` and returns
+    /// true; otherwise (including when fewer than `n` remain) consumes
+    /// nothing and returns false, so the caller can decode the bytes field
+    /// by field instead.
+    bool consume_if_equal(const void* expected, std::size_t n) {
+        if (n > remaining() || std::memcmp(data_ + pos_, expected, n) != 0)
+            return false;
+        pos_ += n;
+        return true;
     }
 
     std::size_t remaining() const { return size_ - pos_; }

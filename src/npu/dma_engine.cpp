@@ -107,8 +107,15 @@ void dma_engine::recycle_ring(std::vector<cycle_t>&& ring) {
     ring_pool_.push_back(std::move(ring));
 }
 
-std::uint64_t dma_engine::start_flight(const transfer_request& req, flight f) {
+void dma_engine::submit_tracked(const transfer_request& req,
+                                const dma_target& target) {
+    if (req.nlines == 0) {
+        if (sink_) sink_(target, eq_.now());
+        return;
+    }
     if (telemetry_) telemetry_->on_dma_bytes(req.task, req.nlines * line_bytes);
+    flight f;
+    f.target = target;
     f.req = req;
     f.total_chunks = ceil_div(req.nlines, chunk_lines_);
     f.last_done = eq_.now();
@@ -121,29 +128,6 @@ std::uint64_t dma_engine::start_flight(const transfer_request& req, flight f) {
     f.id = id;
     flights_.push_back(std::move(f));  // monotonic id: append keeps order
     pump(id);
-    return id;
-}
-
-void dma_engine::submit_tracked(const transfer_request& req,
-                                const dma_target& target) {
-    if (req.nlines == 0) {
-        if (sink_) sink_(target, eq_.now());
-        return;
-    }
-    flight f;
-    f.target = target;
-    start_flight(req, std::move(f));
-}
-
-void dma_engine::submit(const transfer_request& req,
-                        std::function<void(cycle_t)> on_done) {
-    if (req.nlines == 0) {
-        on_done(eq_.now());
-        return;
-    }
-    flight f;
-    f.legacy_done = std::move(on_done);
-    start_flight(req, std::move(f));
 }
 
 void dma_engine::pump(std::uint64_t id, bool allow_inline) {
@@ -182,15 +166,10 @@ void dma_engine::pump(std::uint64_t id, bool allow_inline) {
                 trace_->complete_arg(op_name(f.req.op), "dma",
                                      trace_tid(f.req.task), f.issue, done,
                                      f.req.nlines * line_bytes);
-            auto legacy = std::move(f.legacy_done);
             recycle_ring(std::move(f.out));
             flights_.erase(flights_.begin() +
                            static_cast<std::ptrdiff_t>(at));
-            if (legacy) {
-                legacy(done);
-            } else if (sink_) {
-                sink_(target, done);
-            }
+            if (sink_) sink_(target, done);
             return;
         }
         // Wake when the oldest chunk retires; that frees a window slot.
@@ -221,10 +200,6 @@ void dma_engine::save_state(snapshot_writer& w) const {
     w.u64(next_flight_);
     w.u64(flights_.size());
     for (const flight& f : flights_) {
-        if (f.legacy_done)
-            throw std::logic_error(
-                "dma_engine::save_state: a legacy closure flight is live "
-                "(test-only submit() path cannot be checkpointed)");
         w.u64(f.id);
         w.u8(static_cast<std::uint8_t>(f.req.op));
         w.i32(f.req.task);

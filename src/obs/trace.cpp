@@ -45,10 +45,15 @@ void trace_recorder::absorb(const trace_recorder& src) {
     dropped_ += src.dropped_;
 }
 
-std::vector<trace_event> sorted_for_export(std::vector<trace_event> events) {
-    // Stable (pid, tid, ts) order via a packed-key index sort: sorting
-    // small keys beats moving 48-byte events through a comparison sort,
-    // and breaking ties on the recording index makes a plain sort stable.
+namespace {
+
+/// The recording indices of `events` in export order: stable on (pid, tid,
+/// ts). A packed-key index sort: sorting small keys beats moving 48-byte
+/// events through a comparison sort, and breaking ties on the recording
+/// index makes a plain sort stable. The export walks the events through
+/// this order rather than through a sorted copy, so it holds no second
+/// copy of a capped trace while it writes.
+std::vector<std::uint32_t> export_order(const std::vector<trace_event>& events) {
     struct key_idx {
         std::uint64_t hi;  // pid:32 | tid:32
         std::uint64_t lo;  // ts
@@ -67,9 +72,17 @@ std::vector<trace_event> sorted_for_export(std::vector<trace_event> events) {
         keys[i].idx = static_cast<std::uint32_t>(i);
     }
     std::sort(keys.begin(), keys.end());
-    std::vector<trace_event> sorted(events.size());
-    for (std::size_t i = 0; i < keys.size(); ++i)
-        sorted[i] = events[keys[i].idx];
+    std::vector<std::uint32_t> order(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) order[i] = keys[i].idx;
+    return order;
+}
+
+}  // namespace
+
+std::vector<trace_event> sorted_for_export(std::vector<trace_event> events) {
+    std::vector<trace_event> sorted;
+    sorted.reserve(events.size());
+    for (const std::uint32_t i : export_order(events)) sorted.push_back(events[i]);
     return sorted;
 }
 
@@ -176,7 +189,7 @@ private:
 void write_chrome_trace(
     std::ostream& out, const std::vector<trace_event>& events,
     const std::vector<std::pair<std::uint32_t, std::string>>& process_names) {
-    const std::vector<trace_event> sorted = sorted_for_export(events);
+    const std::vector<std::uint32_t> order = export_order(events);
 
     out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
     bool first = true;
@@ -188,12 +201,13 @@ void write_chrome_trace(
     // Metadata: name every process and thread that appears.
     std::map<std::uint32_t, std::string> pname;
     for (const auto& [pid, name] : process_names) pname[pid] = name;
-    // `sorted` groups events by pid then tid, so new pids/tids only show
+    // `order` groups events by pid then tid, so new pids/tids only show
     // up at group boundaries — no per-event map lookups.
     std::map<std::uint32_t, std::vector<std::uint32_t>> threads;
     std::vector<std::uint32_t>* tids = nullptr;
     std::uint32_t last_pid = 0;
-    for (const trace_event& e : sorted) {
+    for (const std::uint32_t i : order) {
+        const trace_event& e = events[i];
         if (tids == nullptr || e.pid != last_pid) {
             tids = &threads[e.pid];
             last_pid = e.pid;
@@ -223,7 +237,8 @@ void write_chrome_trace(
     }
 
     row_buffer rb(out);
-    for (const trace_event& e : sorted) {
+    for (const std::uint32_t i : order) {
+        const trace_event& e = events[i];
         if (!first) rb.lit(",\n");
         first = false;
         rb.lit("{\"ph\":\"");

@@ -101,7 +101,7 @@ scheduler::scheduler(const sim::experiment_config& cfg, workload_generator& gen)
 }
 
 scheduler::scheduler(const sim::experiment_config& cfg, workload_generator& gen,
-                     const scheduler_snapshot& snap, resume_mode mode)
+                     scheduler_snapshot snap, resume_mode mode)
     : scheduler(cfg, gen) {
     restore(snap, mode);
 }

@@ -66,9 +66,12 @@ public:
 
     /// Resumes from `snap` (see resume_mode). Throws snapshot_error when
     /// the snapshot does not fit `cfg`, or when an exact resume is
-    /// requested without a restorable generator cursor.
+    /// requested without a restorable generator cursor. Takes the snapshot
+    /// by value: a moved-in one (a fleet round's carry) is freed once
+    /// restored, before the run, so the old and the next snapshot never
+    /// coexist; an lvalue resumes from a copy and stays intact.
     scheduler(const sim::experiment_config& cfg, workload_generator& gen,
-              const scheduler_snapshot& snap, resume_mode mode);
+              scheduler_snapshot snap, resume_mode mode);
 
     /// Runs the generator's workload to completion (deterministic under
     /// cfg.seed).
@@ -97,6 +100,9 @@ public:
     /// Valid while paused or after completion; throws std::logic_error
     /// otherwise.
     scheduler_snapshot save() const;
+
+    /// The simulated SoC (read-only; tests inspect its end state).
+    const sim::soc& machine() const { return machine_; }
 
     /// The finalized result (valid once run()/run_segment() completed).
     const sim::experiment_result& result() const { return result_; }

@@ -6,8 +6,10 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "common/rng.h"
 #include "model/model_zoo.h"
@@ -80,13 +82,13 @@ std::uint64_t soc_seed(std::uint64_t cluster_seed, std::size_t s) {
 /// for RNG seeding and observability lanes; the vector index is only the
 /// current round's simulation slot. `snap` carries the warm scheduler
 /// state across round boundaries (and is where a drain lifts the queued
-/// work from).
+/// work from): the round's worker consumes it, and the barrier reads the
+/// one the round saved.
 struct fleet_slot {
     soc_instance_config inst;
     std::uint32_t id = 0;
     bool draining = false;
-    bool has_snap = false;
-    runtime::scheduler_snapshot snap;
+    std::optional<runtime::scheduler_snapshot> snap;
 };
 
 }  // namespace
@@ -141,7 +143,7 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
     fleet.reserve(S0);
     for (std::size_t s = 0; s < S0; ++s)
         fleet.push_back({cfg.socs[s], static_cast<std::uint32_t>(s), false,
-                         false, {}});
+                         std::nullopt});
     std::uint32_t next_id = static_cast<std::uint32_t>(S0);
 
     // Phase 1: placement (also warms the mapping registry for the
@@ -356,25 +358,26 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
         // snapshot resumes them mid-tile in the next round. Cold slots
         // (round 0, or a SoC the autoscaler just added) start fresh.
         // Single-shot runs and carry-disabled fleets stay on the cold path.
+        // Each carried snapshot is handed to its SoC's worker and freed
+        // once restored, so a SoC holds one snapshot at a time; nothing
+        // reads them after the final round, which saves none.
         const bool carry = fb_on && (cfg.carry_soc_state || time_sliced);
         const bool more_rounds = round + 1 < rounds;
         std::vector<sim::experiment_result> round_res;
         if (carry) {
-            std::vector<const runtime::scheduler_snapshot*> in(A, nullptr);
+            std::vector<std::optional<runtime::scheduler_snapshot>> in(A);
             for (std::size_t k = 0; k < A; ++k)
-                if (fleet[k].has_snap) in[k] = &fleet[k].snap;
+                in[k] = std::exchange(fleet[k].snap, std::nullopt);
             std::vector<cycle_t> pause;
             if (time_sliced && more_rounds)
                 pause.assign(A, sat_mul(cfg.round_cycles, round + 1));
             std::vector<runtime::scheduler_snapshot> snaps;
             round_res = sim::run_sweep_segments(
-                ecs, in, more_rounds ? &snaps : nullptr, {}, cfg.threads,
-                pause);
+                ecs, std::move(in), more_rounds ? &snaps : nullptr,
+                cfg.threads, pause);
             if (more_rounds)
-                for (std::size_t k = 0; k < A; ++k) {
+                for (std::size_t k = 0; k < A; ++k)
                     fleet[k].snap = std::move(snaps[k]);
-                    fleet[k].has_snap = true;
-                }
         } else {
             round_res = sim::run_sweep(ecs, cfg.threads);
         }
@@ -515,9 +518,9 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
             for (const auto& fs : fleet) {
                 if (fs.draining) continue;
                 ++routable;
-                if (fs.has_snap)
+                if (fs.snap)
                     backlog +=
-                        static_cast<double>(fs.snap.admission_queue.size());
+                        static_cast<double>(fs.snap->admission_queue.size());
             }
             backlog /= std::max<std::uint32_t>(routable, 1);
             const std::uint64_t round_offered = round_completed + round_drops;
@@ -579,8 +582,8 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
             // (running set and admission queue both empty).
             for (std::size_t k = 0; k < fleet.size();) {
                 auto& fs = fleet[k];
-                if (fs.draining && fs.has_snap && fs.snap.running.empty() &&
-                    fs.snap.admission_queue.empty()) {
+                if (fs.draining && fs.snap && fs.snap->running.empty() &&
+                    fs.snap->admission_queue.empty()) {
                     const std::uint32_t id = fs.id;
                     fleet.erase(fleet.begin() +
                                 static_cast<std::ptrdiff_t>(k));
@@ -602,7 +605,7 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
                 // Scale up: a cold clone of the fleet's first configured
                 // instance under the next stable id.
                 fleet.push_back(
-                    {cfg.socs.front(), next_id++, false, false, {}});
+                    {cfg.socs.front(), next_id++, false, std::nullopt});
                 fleet_changed = true;
                 cooldown = cfg.autoscale.cooldown_rounds;
                 scale_event ev;
@@ -619,9 +622,8 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
                 for (std::size_t k = 0; k < fleet.size(); ++k) {
                     if (fleet[k].draining) continue;
                     const std::uint64_t q =
-                        fleet[k].has_snap
-                            ? fleet[k].snap.admission_queue.size()
-                            : 0;
+                        fleet[k].snap ? fleet[k].snap->admission_queue.size()
+                                      : 0;
                     if (pick == fleet.size() || q < best ||
                         (q == best && fleet[k].id > fleet[pick].id)) {
                         pick = k;
@@ -632,13 +634,15 @@ cluster_result run_cluster(const cluster_config& cfg_in) {
                     auto& fs = fleet[pick];
                     fs.draining = true;
                     std::uint64_t migrated = 0;
-                    for (const auto& q : fs.snap.admission_queue) {
-                        const auto it = model_index.find(q.model);
-                        if (it == model_index.end()) continue;
-                        migrate_backlog.push_back({q.arrival, it->second});
-                        ++migrated;
+                    if (fs.snap) {
+                        for (const auto& q : fs.snap->admission_queue) {
+                            const auto it = model_index.find(q.model);
+                            if (it == model_index.end()) continue;
+                            migrate_backlog.push_back({q.arrival, it->second});
+                            ++migrated;
+                        }
+                        fs.snap->admission_queue.clear();
                     }
-                    fs.snap.admission_queue.clear();
                     out.migrated_requests += migrated;
                     fleet_changed = true;
                     cooldown = cfg.autoscale.cooldown_rounds;

@@ -44,28 +44,28 @@ std::uint64_t experiment_result::completions_of(const std::string& abbr) const {
 }
 
 experiment_result run_experiment(const experiment_config& cfg) {
-    return run_experiment_segment(cfg, nullptr, nullptr);
+    return run_experiment_segment(cfg, std::nullopt, nullptr);
 }
 
 experiment_result run_experiment_segment(
     const experiment_config& cfg,
-    const runtime::scheduler_snapshot* resume_from,
-    runtime::scheduler_snapshot* save_to, cycle_t hold_dispatch_after,
-    cycle_t pause_at) {
+    std::optional<runtime::scheduler_snapshot> resume_from,
+    runtime::scheduler_snapshot* save_to, cycle_t pause_at) {
     experiment_config local = cfg;
     if (local.workload.empty()) {
         for (const auto& m : model::benchmark_models())
             local.workload.push_back(&m);
     }
     auto gen = runtime::make_workload_generator(local);
-    auto s = resume_from != nullptr
+    auto s = resume_from
                  ? std::make_unique<runtime::scheduler>(
-                       local, *gen, *resume_from, runtime::resume_mode::warm)
+                       local, *gen, std::move(*resume_from),
+                       runtime::resume_mode::warm)
                  : std::make_unique<runtime::scheduler>(local, *gen);
     if (pause_at != never)
         s->run_segment(pause_at);  // time-sliced: pause mid-flight
     else
-        s->run_segment_hold_dispatch(hold_dispatch_after);
+        s->run_segment_hold_dispatch(never);  // drain
     // segment_result closes the boundary telemetry epoch before save(), so
     // the cut carries into the snapshot.
     experiment_result res = s->segment_result();

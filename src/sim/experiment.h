@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,12 +26,9 @@
 #include "dram/dram_system.h"
 #include "model/model.h"
 #include "obs/observer.h"
+#include "runtime/scheduler_snapshot.h"
 #include "runtime/workload.h"
 #include "sim/soc_config.h"
-
-namespace camdn::runtime {
-struct scheduler_snapshot;
-}
 
 namespace camdn::sim {
 
@@ -159,23 +157,19 @@ experiment_result run_experiment(const experiment_config& cfg);
 
 /// Segment runner for checkpoint/resume flows (warm resume): builds the
 /// workload from `cfg`, restores machine state from `resume_from` when
-/// non-null (the clock, cache warmth, DRAM timing, controller state and
-/// any in-flight inferences carry; results and telemetry history start
-/// empty) and writes the end-of-segment snapshot to `*save_to` when
-/// non-null. With `hold_dispatch_after` < `never`, dispatch stops once the
-/// clock passes it: arrivals keep queueing (or dropping) at their true
-/// times, running work finishes, and the queued backlog carries into the
-/// snapshot (see runtime::scheduler::run_segment_hold_dispatch). With
-/// `pause_at` < `never` the run instead pauses at the first inter-event
-/// instant at or after it — mid-layer, transfers still in flight — which
-/// is what time-sliced fleet rounds use; `pause_at` takes precedence over
-/// the hold. With both pointers null and neither bound this is
+/// set (the clock, cache warmth, DRAM timing, controller state and any
+/// in-flight inferences carry; results and telemetry history start empty;
+/// a moved-in snapshot is freed once restored, see runtime::scheduler)
+/// and writes the end-of-segment snapshot to `*save_to` when
+/// non-null. With `pause_at` < `never` the run pauses at the first
+/// inter-event instant at or after it — mid-layer, transfers still in
+/// flight — which is what time-sliced fleet rounds use; otherwise it runs
+/// to drain. With no snapshot in or out and no pause this is
 /// run_experiment.
 experiment_result run_experiment_segment(
     const experiment_config& cfg,
-    const runtime::scheduler_snapshot* resume_from,
-    runtime::scheduler_snapshot* save_to,
-    cycle_t hold_dispatch_after = never, cycle_t pause_at = never);
+    std::optional<runtime::scheduler_snapshot> resume_from,
+    runtime::scheduler_snapshot* save_to, cycle_t pause_at = never);
 
 /// Single-tenant latency of each model on one core under the shared
 /// baseline (the normalized-progress reference for QoS metrics), keyed by

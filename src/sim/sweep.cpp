@@ -63,20 +63,17 @@ std::vector<experiment_result> run_sweep(
 
 std::vector<experiment_result> run_sweep_segments(
     const std::vector<experiment_config>& cfgs,
-    const std::vector<const runtime::scheduler_snapshot*>& resume_from,
-    std::vector<runtime::scheduler_snapshot>* save_to,
-    const std::vector<cycle_t>& hold_after, unsigned threads,
+    std::vector<std::optional<runtime::scheduler_snapshot>> resume_from,
+    std::vector<runtime::scheduler_snapshot>* save_to, unsigned threads,
     const std::vector<cycle_t>& pause_at) {
     std::vector<experiment_result> results(cfgs.size());
     if (save_to != nullptr) save_to->assign(cfgs.size(), {});
+    resume_from.resize(cfgs.size());
     pool_for_each(cfgs.size(), threads, [&](std::size_t i) {
-        const runtime::scheduler_snapshot* in =
-            i < resume_from.size() ? resume_from[i] : nullptr;
-        const cycle_t hold = i < hold_after.size() ? hold_after[i] : never;
         const cycle_t pause = i < pause_at.size() ? pause_at[i] : never;
         results[i] = run_experiment_segment(
-            cfgs[i], in, save_to != nullptr ? &(*save_to)[i] : nullptr, hold,
-            pause);
+            cfgs[i], std::move(resume_from[i]),
+            save_to != nullptr ? &(*save_to)[i] : nullptr, pause);
     });
     return results;
 }

@@ -20,18 +20,17 @@ std::vector<experiment_result> run_sweep(
     const std::vector<experiment_config>& cfgs, unsigned threads = 0);
 
 /// Resumable variant for segmented runs (fleet feedback rounds): entry i
-/// warm-resumes from `resume_from[i]` when non-null (empty vector = all
-/// cold), holds dispatch past `hold_after[i]` (empty vector = no hold; see
-/// run_experiment_segment), pauses mid-flight at `pause_at[i]` (empty
-/// vector = run to drain; time-sliced rounds) and, when `save_to` is
-/// non-null, writes its end-of-segment snapshot to `(*save_to)[i]`
-/// (resized to cfgs.size()). Results are bit-identical across pool
-/// widths, like run_sweep.
+/// warm-resumes from `resume_from[i]` when set (empty vector = all cold),
+/// consuming it — the snapshot moves to its worker and is freed once
+/// restored — pauses mid-flight at `pause_at[i]` (empty vector = run to
+/// drain; time-sliced rounds; see run_experiment_segment) and, when
+/// `save_to` is non-null, writes its end-of-segment snapshot to
+/// `(*save_to)[i]` (resized to cfgs.size()). Results are bit-identical
+/// across pool widths, like run_sweep.
 std::vector<experiment_result> run_sweep_segments(
     const std::vector<experiment_config>& cfgs,
-    const std::vector<const runtime::scheduler_snapshot*>& resume_from,
-    std::vector<runtime::scheduler_snapshot>* save_to,
-    const std::vector<cycle_t>& hold_after = {}, unsigned threads = 0,
+    std::vector<std::optional<runtime::scheduler_snapshot>> resume_from,
+    std::vector<runtime::scheduler_snapshot>* save_to, unsigned threads = 0,
     const std::vector<cycle_t>& pause_at = {});
 
 /// isolated_latencies() memoized per (soc_config, model set): QoS sweeps

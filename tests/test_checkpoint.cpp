@@ -777,7 +777,7 @@ TEST(checkpoint, warm_resume_carries_clock_and_cache_warmth) {
 
     runtime::scheduler_snapshot snap;
     const auto res1 =
-        sim::run_experiment_segment(seg1, nullptr, &snap);
+        sim::run_experiment_segment(seg1, std::nullopt, &snap);
     ASSERT_EQ(res1.completions.size(), 6u);
 
     // Segment 2: the same trace shape, shifted past segment 1's end.
@@ -786,8 +786,8 @@ TEST(checkpoint, warm_resume_carries_clock_and_cache_warmth) {
     for (int i = 0; i < 6; ++i)
         seg2.trace.push_back({snap.now + ms_to_cycles(0.5) * (i + 1), mb});
 
-    const auto warm = sim::run_experiment_segment(seg2, &snap, nullptr);
-    const auto cold = sim::run_experiment_segment(seg2, nullptr, nullptr);
+    const auto warm = sim::run_experiment_segment(seg2, snap, nullptr);
+    const auto cold = sim::run_experiment_segment(seg2, std::nullopt, nullptr);
     ASSERT_EQ(warm.completions.size(), 6u);
     ASSERT_EQ(cold.completions.size(), 6u);
 
@@ -809,6 +809,69 @@ TEST(checkpoint, warm_resume_carries_clock_and_cache_warmth) {
     // telemetry epochs are reported.
     EXPECT_FALSE(warm.telemetry.empty());
     EXPECT_EQ(warm.telemetry.front().index, 0u);
+}
+
+// ---- lazy transparent store and the snapshot handoff -------------------
+
+TEST(checkpoint, only_transparent_traffic_allocates_the_tag_store) {
+    // Under CaMDN the transparent ways serve CPU traffic the simulator never
+    // generates, so the tag store stays unallocated through a run and a
+    // warm resume; a baseline's DMA goes through it and allocates it.
+    for (const auto pol : {sim::policy::camdn_full, sim::policy::shared_baseline}) {
+        const bool transparent = pol == sim::policy::shared_baseline;
+        experiment_config cfg = base_cfg();
+        cfg.pol = pol;
+        cfg.inferences_per_slot = 1;
+        auto gen = runtime::make_workload_generator(cfg);
+        runtime::scheduler s(cfg, *gen);
+        EXPECT_FALSE(s.machine().cache().transparent_store_allocated());
+        s.run();
+        EXPECT_EQ(s.machine().cache().transparent_store_allocated(),
+                  transparent);
+
+        auto gen2 = runtime::make_workload_generator(cfg);
+        runtime::scheduler resumed(cfg, *gen2, s.save(), resume_mode::warm);
+        EXPECT_EQ(resumed.machine().cache().transparent_store_allocated(),
+                  transparent);
+    }
+}
+
+TEST(checkpoint, moved_in_and_copied_snapshots_resume_identically) {
+    // Fleet rounds hand each carried snapshot to its worker by move, which
+    // frees it once restored; other callers resume from a copy and keep
+    // theirs. Both must resume the same machine: identical results and
+    // identical bytes at the next save. Mid-flight pauses make the
+    // snapshots carry engine and typed-event state as well.
+    for (const auto pol : {sim::policy::camdn_full, sim::policy::moca}) {
+        experiment_config seg1 = base_cfg();
+        seg1.pol = pol;
+        seg1.kind = runtime::workload_kind::trace_replay;
+        const auto* mb = &model::model_by_abbr("MB.");
+        for (int i = 0; i < 6; ++i)
+            seg1.trace.push_back({ms_to_cycles(0.3) * (i + 1), mb});
+        scheduler_snapshot snap;
+        sim::run_experiment_segment(seg1, std::nullopt, &snap,
+                                    ms_to_cycles(1.0));
+        ASSERT_FALSE(snap.running.empty());
+
+        experiment_config seg2 = seg1;
+        seg2.trace.clear();
+        for (int i = 0; i < 4; ++i)
+            seg2.trace.push_back({snap.now + ms_to_cycles(0.3) * i, mb});
+        const cycle_t pause = snap.now + ms_to_cycles(1.0);
+        const std::vector<std::uint8_t> before = snap.encode();
+
+        scheduler_snapshot next_copy, next_moved;
+        const auto copied =
+            sim::run_experiment_segment(seg2, snap, &next_copy, pause);
+        EXPECT_TRUE(snap.encode() == before);  // the copy left it intact
+        const auto moved = sim::run_experiment_segment(
+            seg2, std::move(snap), &next_moved, pause);
+        EXPECT_TRUE(snap.machine.empty());  // handed over and freed
+
+        expect_identical(copied, moved);
+        EXPECT_TRUE(next_copy.encode() == next_moved.encode());
+    }
 }
 
 TEST(checkpoint, hold_dispatch_carries_the_admission_queue) {
@@ -839,7 +902,7 @@ TEST(checkpoint, hold_dispatch_carries_the_admission_queue) {
     const auto decoded = scheduler_snapshot::decode(snap.encode());
     experiment_config seg2 = seg;
     seg2.trace.clear();
-    const auto res2 = sim::run_experiment_segment(seg2, &decoded, nullptr);
+    const auto res2 = sim::run_experiment_segment(seg2, decoded, nullptr);
     ASSERT_EQ(res2.completions.size(), 3u);
     for (const auto& rec : res2.completions) {
         EXPECT_GE(rec.arrival, 1001u);  // true arrival stamps survived

@@ -1,6 +1,8 @@
 // Unit tests for the chunked, windowed DMA engine.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "cache/shared_cache.h"
 #include "common/event_queue.h"
 #include "dram/dram_system.h"
@@ -9,24 +11,37 @@
 namespace camdn::npu {
 namespace {
 
+/// Records the completion cycle of every tracked transfer, keyed by the
+/// `a` half of its token.
+struct recording_sink {
+    std::map<std::uint64_t, cycle_t> done;
+
+    explicit recording_sink(dma_engine& dma) {
+        dma.set_sink([this](const dma_target& t, cycle_t d) { done[t.a] = d; });
+    }
+    bool fired(std::uint64_t token) const { return done.count(token) != 0; }
+};
+
 struct rig {
     event_queue eq;
     dram::dram_system dram{dram::dram_config{}};
     cache::cache_config cfg{};
     cache::shared_cache cache{cfg, dram};
     dma_engine dma{eq, cache, /*chunk_lines=*/128, /*window=*/4};
+    recording_sink sink{dma};
+
+    void submit(const transfer_request& req, std::uint64_t token = 0) {
+        dma.submit_tracked(req, dma_target{token, 0});
+    }
 };
 
 TEST(dma, zero_line_transfer_completes_immediately) {
     rig r;
-    bool fired = false;
     transfer_request req;
     req.nlines = 0;
-    r.dma.submit(req, [&](cycle_t done) {
-        fired = true;
-        EXPECT_EQ(done, 0u);
-    });
-    EXPECT_TRUE(fired);  // no event round needed
+    r.submit(req);
+    ASSERT_TRUE(r.sink.fired(0));  // no event round needed
+    EXPECT_EQ(r.sink.done.at(0), 0u);
 }
 
 TEST(dma, processes_every_line_exactly_once) {
@@ -36,10 +51,9 @@ TEST(dma, processes_every_line_exactly_once) {
     req.task = 0;
     req.addr = 0;
     req.nlines = 1000;
-    bool done_fired = false;
-    r.dma.submit(req, [&](cycle_t) { done_fired = true; });
+    r.submit(req);
     r.eq.run();
-    EXPECT_TRUE(done_fired);
+    EXPECT_TRUE(r.sink.fired(0));
     EXPECT_EQ(r.dram.stats().reads, 1000u);
 }
 
@@ -48,9 +62,9 @@ TEST(dma, completion_time_is_plausible_for_bandwidth) {
     transfer_request req;
     req.op = transfer_request::kind::bypass_read;
     req.nlines = 16'000;  // 1 MiB
-    cycle_t done = 0;
-    r.dma.submit(req, [&](cycle_t d) { done = d; });
+    r.submit(req);
     r.eq.run();
+    const cycle_t done = r.sink.done.at(0);
     // 1 MiB at 102.4 B/cycle is ~10.2K cycles; allow generous latency slack.
     EXPECT_GT(done, 9'000u);
     EXPECT_LT(done, 20'000u);
@@ -63,10 +77,9 @@ TEST(dma, small_transfer_single_chunk) {
     req.task = 2;
     req.addr = mib(4);
     req.nlines = 5;
-    cycle_t done = 0;
-    r.dma.submit(req, [&](cycle_t d) { done = d; });
+    r.submit(req);
     r.eq.run();
-    EXPECT_GT(done, 0u);
+    EXPECT_GT(r.sink.done.at(0), 0u);
     EXPECT_EQ(r.cache.stats().misses, 5u);
 }
 
@@ -79,16 +92,15 @@ TEST(dma, concurrent_transfers_share_resources) {
     transfer_request b = a;
     b.addr = mib(64);
 
-    cycle_t done_a = 0, done_b = 0;
-    r.dma.submit(a, [&](cycle_t d) { done_a = d; });
-    r.dma.submit(b, [&](cycle_t d) { done_b = d; });
+    r.submit(a, 0);
+    r.submit(b, 1);
     r.eq.run();
+    const cycle_t done_a = r.sink.done.at(0), done_b = r.sink.done.at(1);
 
     rig solo;
-    transfer_request s = a;
-    cycle_t done_solo = 0;
-    solo.dma.submit(s, [&](cycle_t d) { done_solo = d; });
+    solo.submit(a);
     solo.eq.run();
+    const cycle_t done_solo = solo.sink.done.at(0);
 
     // With a competitor, each stream takes materially longer than alone.
     EXPECT_GT(std::max(done_a, done_b),
@@ -107,7 +119,7 @@ TEST(dma, region_transfers_route_to_the_nec) {
     req.addr = 0;
     req.dram_addr = mib(8);
     req.nlines = 512;
-    r.dma.submit(req, [](cycle_t) {});
+    r.submit(req);
     r.eq.run();
     EXPECT_EQ(r.cache.stats().region_fills, 512u);
     EXPECT_EQ(r.dram.stats().reads, 512u);
@@ -140,13 +152,14 @@ TEST_P(dma_chunking, line_count_invariant_under_chunk_size) {
     dram::dram_system dram{dram::dram_config{}};
     cache::shared_cache cache{cache::cache_config{}, dram};
     dma_engine dma(eq, cache, GetParam(), 4);
+    recording_sink sink(dma);
 
     transfer_request req;
     req.op = transfer_request::kind::bypass_read;
     req.nlines = 4'096;
-    cycle_t done = 0;
-    dma.submit(req, [&](cycle_t d) { done = d; });
+    dma.submit_tracked(req, dma_target{});
     eq.run();
+    const cycle_t done = sink.done.at(0);
     EXPECT_EQ(dram.stats().reads, 4'096u);
     // 256 KiB at ~102 B/cycle ~ 2.6K cycles; bounded regardless of chunking.
     EXPECT_LT(done, 6'000u);

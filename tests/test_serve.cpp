@@ -445,11 +445,11 @@ TEST(cluster, autoscaler_adds_socs_under_sla_pressure) {
               res.completed + res.dropped_queue + res.dropped_unroutable);
 }
 
-TEST(cluster, autoscaler_drains_migrates_queued_work_and_retires) {
-    // Unbounded queues keep real backlog at the first barrier; a huge
-    // backlog_low forces a drain there, so the drained SoC's queued
-    // requests must migrate to the survivor and still complete. sla_low=0
-    // keeps the scale-up path quiet (adds also need backlog_high).
+/// Unbounded queues keep real backlog at the first barrier; a huge
+/// backlog_low forces a drain there, so the drained SoC's queued requests
+/// must migrate to the survivor and still complete. sla_low=0 keeps the
+/// scale-up path quiet (adds also need backlog_high).
+cluster_config draining_cfg() {
     auto cfg = colocation_cfg();
     cfg.socs.resize(2);
     // A single slow tenant loads both replicas evenly, so whichever SoC
@@ -466,6 +466,11 @@ TEST(cluster, autoscaler_drains_migrates_queued_work_and_retires) {
     cfg.autoscale.backlog_low = 1e18;  // always "idle": drain immediately
     cfg.autoscale.sla_low = 0.0;
     cfg.autoscale.cooldown_rounds = 0;
+    return cfg;
+}
+
+TEST(cluster, autoscaler_drains_migrates_queued_work_and_retires) {
+    const auto cfg = draining_cfg();
     const auto res = run_cluster(cfg);
 
     const scale_event* drain = nullptr;
@@ -486,6 +491,30 @@ TEST(cluster, autoscaler_drains_migrates_queued_work_and_retires) {
     EXPECT_EQ(res.dropped_queue, 0u);
     EXPECT_EQ(res.dropped_unroutable, 0u);
     EXPECT_EQ(res.completed, cfg.total_arrivals);
+}
+
+TEST(cluster, carried_snapshots_hand_off_alike_across_pool_widths) {
+    // Each time-sliced round hands every SoC's carried snapshot to a pool
+    // worker, which frees it once restored; the master then reads the
+    // snapshots the round saved (admission queues, running sets) to drain,
+    // migrate and retire. Four workers make that a cross-thread handoff
+    // (ThreadSanitizer checks it in CI); the results must match the
+    // inline run's.
+    auto cfg = draining_cfg();
+    cfg.threads = 1;
+    const auto inline_run = run_cluster(cfg);
+    cfg.threads = 4;
+    const auto pooled = run_cluster(cfg);
+    expect_identical(inline_run, pooled);
+    EXPECT_GT(pooled.migrated_requests, 0u);
+    EXPECT_EQ(inline_run.migrated_requests, pooled.migrated_requests);
+    ASSERT_EQ(inline_run.scale_events.size(), pooled.scale_events.size());
+    for (std::size_t i = 0; i < pooled.scale_events.size(); ++i) {
+        EXPECT_EQ(inline_run.scale_events[i].kind, pooled.scale_events[i].kind);
+        EXPECT_EQ(inline_run.scale_events[i].round, pooled.scale_events[i].round);
+        EXPECT_EQ(inline_run.scale_events[i].soc_id,
+                  pooled.scale_events[i].soc_id);
+    }
 }
 
 TEST(cluster, fixed_fleet_results_unchanged_by_autoscale_plumbing) {
